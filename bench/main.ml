@@ -222,32 +222,6 @@ let run_throughput fmt ~scale ~repeats =
     exit 1
   end
 
-(* ---------- region tier-up throughput (three-way, verified) ---------- *)
-
-(* Not a paper experiment: wall-clock throughput of the region tier-up
-   engine against both the instrumented and plain threaded engines, with
-   full cross-engine state verification of the region runs. Exit status 1
-   on any divergence, so CI can gate on it alongside functional-throughput. *)
-let run_region_throughput fmt ~scale ~repeats =
-  let rows = Harness.Throughput.region_sweep ~scale ~repeats () in
-  ignore (Harness.Throughput.render_region fmt rows);
-  Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      Harness.Throughput.write_region_json path ~jobs:1 ~scale
-        ~fuel:Harness.Throughput.default_fuel ~repeats rows;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
-  if
-    List.exists
-      (fun (r : Harness.Throughput.region_row) -> r.rr_mismatches <> [])
-      rows
-  then begin
-    prerr_endline
-      "region-throughput: region engine diverged from match engine";
-    exit 1
-  end
-
 (* ---------- fast-forward timing (sampled vs full-fidelity ILDP) ---------- *)
 
 (* The timing sweep defaults to 10x workload scale: interval sampling is
@@ -314,8 +288,7 @@ let run_persist fmt ~scale =
     !bench_json;
   if
     List.exists
-      (fun (r : Harness.Persist_bench.row) ->
-        r.mismatches <> [] || r.region_mismatches <> [])
+      (fun (r : Harness.Persist_bench.row) -> r.mismatches <> [])
       rows
   then begin
     prerr_endline "persist: warm start diverged from cold start";
@@ -435,9 +408,6 @@ let specials () : (string * string * (Format.formatter -> unit)) list =
     ("functional-throughput",
      "VM execution-engine throughput (threaded vs. match), verified",
      fun fmt -> run_throughput fmt ~scale:!scale ~repeats:!repeats);
-    ("region-throughput",
-     "region tier-up engine throughput (three-way, verified)",
-     fun fmt -> run_region_throughput fmt ~scale:!scale ~repeats:!repeats);
     ("timing-fastfwd",
      "sampled vs full-fidelity ILDP timing, accuracy-gated",
      fun fmt -> run_timing fmt ~scale:(timing_scale ()) ~interval:!sample_interval);
@@ -462,9 +432,6 @@ let run_check path =
     List.map (fun (e : Harness.Experiments.exp) -> e.id) Harness.Experiments.all
   in
   let sweep () = Harness.Throughput.sweep ~scale:!scale ~repeats:!repeats () in
-  let region_sweep () =
-    Harness.Throughput.region_sweep ~scale:!scale ~repeats:!repeats ()
-  in
   let timing_sweep () =
     Harness.Fastfwd_bench.sweep ~interval:!sample_interval
       ~scale:(timing_scale ()) ()
@@ -476,7 +443,7 @@ let run_check path =
   let nn_sweep () = Harness.Nn_bench.sweep ~scale:!scale ~repeats:!repeats () in
   let stress_sweep () = Harness.Stress_bench.sweep ~scale:!scale () in
   let r =
-    Harness.Check.run ~tol:!check_tol ~ids ~sweep ~region_sweep ~timing_sweep
+    Harness.Check.run ~tol:!check_tol ~ids ~sweep ~timing_sweep
       ~service_sweep ~nn_sweep ~stress_sweep path
   in
   Printf.printf "check %s (tol ±%.0f%%)\n" path (100.0 *. !check_tol);

@@ -62,7 +62,6 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
   let engine =
     match engine with
     | "matched" -> Core.Config.Matched
-    | "region" -> Core.Config.Region
     | _ -> Core.Config.Threaded
   in
   if interp_only then begin
@@ -143,8 +142,6 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
       (if straight then "straightened-Alpha" else "accumulator-ISA")
       (Core.Config.isa_name isa)
       (Core.Config.chaining_name chaining);
-    if engine = Core.Config.Region then
-      Printf.bprintf buf "regions        : %d live\n" (Core.Vm.region_count vm);
     Option.iter
       (fun path -> Printf.bprintf buf "warm start     : %s\n" path)
       load_cache;
@@ -271,8 +268,7 @@ let cmd =
   let n_accs = Arg.(value & opt int 4 & info [ "accs" ] ~doc:"Logical accumulators.") in
   let engine =
     Arg.(value & opt string "threaded" & info [ "engine" ]
-           ~doc:"Sink-less execution engine: threaded, matched, or region \
-                 (threaded plus the hot-region tier-up compiler).")
+           ~doc:"Sink-less execution engine: threaded or matched.")
   in
   let interp = Arg.(value & flag & info [ "interp" ] ~doc:"Interpret only (no DBT).") in
   let straight =

@@ -19,15 +19,8 @@ type chaining = No_pred | Sw_pred_no_ras | Sw_pred_ras
    - [Matched]: the instrumented variant-match engine. Attaching a timing
      sink always selects it regardless of this field, since only it emits
      per-instruction events; forcing it here gives a sink-free baseline for
-     throughput comparisons.
-   - [Region]: the threaded engine plus a second compilation tier: once a
-     fragment's [exec_count] crosses [region_threshold], its static chain
-     graph (Br/Bc successors, including patched chain branches) is
-     collapsed into one region executed with direct intra-region block
-     transfers — no trampoline between slots, retirement/fuel/by_class
-     charged in bulk per block from precomputed tallies. Observationally
-     identical to [Threaded]; attaching a sink still selects [Matched]. *)
-type engine = Threaded | Matched | Region
+     throughput comparisons. *)
+type engine = Threaded | Matched
 
 type t = {
   isa : isa;
@@ -48,21 +41,10 @@ type t = {
      addressing modes perform no computation). *)
   engine : engine;
   (* execution engine for sink-less translated execution; see {!engine} *)
-  region_threshold : int;
-  (* fragment-entry count that promotes a fragment's chain graph to a
-     region (engine = Region only) *)
-  region_max_slots : int;
-  (* upper bound on total cache slots gathered into one region *)
-  superops : bool;
-  (* third compilation tier (engine = Region only): when a region is
-     promoted, fuse each basic block's slot chain into one specialized
-     closure — no per-slot indirect calls — applying profile-mined idiom
-     templates (see {!Superop}). Observationally identical to the
-     unfused region tier; default on. *)
   tcache_max_slots : int;
   (* translation-cache capacity in I-ISA slots. When a translation pushes
      the cache past this bound the VM flushes everything Dynamo-style
-     (fragments, regions, fused blocks, chain patches, RAS) and rebuilds
+     (fragments, chain patches, RAS) and rebuilds
      from the interpreter — the real-VM policy an unbounded cache never
      exercises. Default [max_int]: effectively unbounded, the historical
      behaviour. *)
@@ -78,9 +60,6 @@ let default =
     stop_at_translated = false;
     fuse_mem = false;
     engine = Threaded;
-    region_threshold = 100;
-    region_max_slots = 1024;
-    superops = true;
     tcache_max_slots = max_int;
   }
 
@@ -96,7 +75,6 @@ let isa_name = function Basic -> "basic" | Modified -> "modified"
 let engine_name = function
   | Threaded -> "threaded"
   | Matched -> "matched"
-  | Region -> "region"
 
 let chaining_name = function
   | No_pred -> "no_pred"
@@ -119,9 +97,6 @@ let fingerprint cfg ~backend ~image_digest : Persist.Snapshot.fingerprint =
     fp_max_superblock = cfg.max_superblock;
     fp_stop_at_translated = cfg.stop_at_translated;
     fp_fuse_mem = cfg.fuse_mem;
-    fp_region_threshold = cfg.region_threshold;
-    fp_region_max_slots = cfg.region_max_slots;
-    fp_superops = cfg.superops;
     fp_tcache_max_slots = cfg.tcache_max_slots;
     fp_image_digest = image_digest;
   }

@@ -17,13 +17,8 @@ type chaining = No_pred | Sw_pred_no_ras | Sw_pred_ras
       specialized closure, executed by a tight trampoline (the default);
     - [Matched]: the instrumented variant-match engine, also always used
       when a timing sink is attached (it alone emits per-instruction
-      events). Forcing it here gives a sink-free throughput baseline;
-    - [Region]: the threaded engine plus a second compilation tier — hot
-      fragments' chain graphs are collapsed into single closures with
-      direct intra-region block transfers and bulk retirement/fuel
-      accounting (see {!Region}). Observationally identical to
-      [Threaded]; a sink still forces [Matched]. *)
-type engine = Threaded | Matched | Region
+      events). Forcing it here gives a sink-free throughput baseline. *)
+type engine = Threaded | Matched
 
 type t = {
   isa : isa;
@@ -42,22 +37,10 @@ type t = {
   engine : engine;
       (** execution engine for sink-less translated execution
           (default [Threaded]). *)
-  region_threshold : int;
-      (** fragment-entry count that promotes a fragment's chain graph to
-          a region under [engine = Region] (default 100). Warm starts
-          promote immediately from the snapshot's hotness profile. *)
-  region_max_slots : int;
-      (** upper bound on total cache slots per region (default 1024);
-          successors are also bounded by a fixed guest-address window. *)
-  superops : bool;
-      (** third compilation tier (under [engine = Region]): fuse each
-          promoted block's slot chain into one specialized closure with
-          profile-mined idiom templates (see {!Superop}). Observationally
-          identical to the unfused region tier; default on. *)
   tcache_max_slots : int;
       (** translation-cache capacity in I-ISA slots: exceeding it after a
           translation triggers a Dynamo-style whole-cache flush (fragments,
-          regions, fused blocks, chain patches, RAS) and a rebuild from the
+          chain patches, RAS) and a rebuild from the
           interpreter. Default [max_int] — effectively unbounded. *)
 }
 

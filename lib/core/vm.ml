@@ -40,8 +40,6 @@ type seg_stats = {
   mutable fuel_stops : int;
   mutable flushes : int;
   mutable capacity_flushes : int;  (* flushes forced by tcache_max_slots *)
-  mutable region_invalidations : int;  (* promoted regions killed by those *)
-  mutable fused_invalidations : int;  (* fused blocks killed by those *)
 }
 
 type t = {
@@ -65,19 +63,16 @@ let sp_reentry = Obs.span "interp_reentry"
 let sp_flush = Obs.span "flush"
 
 (* [create] proper lives below with the snapshot machinery (the [?snapshot]
-   path needs the save/restore helpers); this builds the cold state.
-   [?annotate] is the fast-forward tier's static cycle annotator
-   (typically [Uarch.Fastfwd.annotate]), injected as a closure so [Core]
-   never links against the timing models. *)
-let create_cold ?annotate ~cfg ~kind prog =
+   path needs the save/restore helpers); this builds the cold state. *)
+let create_cold ~cfg ~kind prog =
   let interp = Alpha.Interp.create prog in
   let backend =
     match kind with
     | Acc ->
-      let ctx = Translate.create ?annotate cfg in
+      let ctx = Translate.create cfg in
       B_acc (ctx, Exec_acc.create ctx interp)
     | Straight_only ->
-      let ctx = Straighten.create ?annotate cfg in
+      let ctx = Straighten.create cfg in
       B_straight (ctx, Exec_straight.create ctx interp)
   in
   { cfg; prog; interp; backend; counters = Hashtbl.create 512; fuel = max_int;
@@ -85,8 +80,7 @@ let create_cold ?annotate ~cfg ~kind prog =
     segs =
       { branch_exits = 0; pal_exits = 0; dispatch_misses = 0;
         trap_recoveries = 0; fuel_stops = 0; flushes = 0;
-        capacity_flushes = 0; region_invalidations = 0;
-        fused_invalidations = 0 };
+        capacity_flushes = 0 };
     last_seg = None }
 
 let cost t =
@@ -138,11 +132,9 @@ let dual_ras t =
 
 (* Capacity policy (Dynamo-style): a bounded translation cache is flushed
    wholesale the moment a translation pushes it past the configured slot
-   budget — fragments, promoted regions and fused blocks all die together
-   and the VM rebuilds from the interpreter's profile. Checked after each
-   translation (between VM steps, where a flush is safe). The invalidation
-   counts are recorded here, at flush time, because the dead regions/fused
-   blocks are no longer observable once [flush] returns. *)
+   budget — every fragment dies and the VM rebuilds from the interpreter's
+   profile. Checked after each translation (between VM steps, where a
+   flush is safe). *)
 let capacity_flush_check t =
   if t.cfg.tcache_max_slots < max_int then begin
     let slots =
@@ -151,16 +143,7 @@ let capacity_flush_check t =
       | B_straight (ctx, _) -> Tcache.Straight.n_slots ctx.tc
     in
     if slots > t.cfg.tcache_max_slots then begin
-      let regions, fused =
-        match t.backend with
-        | B_acc (_, ex) ->
-          (Exec_acc.region_count ex, Exec_acc.fused_block_count ex)
-        | B_straight (_, ex) ->
-          (Exec_straight.region_count ex, Exec_straight.fused_block_count ex)
-      in
       t.segs.capacity_flushes <- t.segs.capacity_flushes + 1;
-      t.segs.region_invalidations <- t.segs.region_invalidations + regions;
-      t.segs.fused_invalidations <- t.segs.fused_invalidations + fused;
       flush t
     end
   end
@@ -364,16 +347,6 @@ let acc_exec t =
 let straight_exec t =
   match t.backend with B_straight (_, ex) -> Some ex | B_acc _ -> None
 
-let region_count t =
-  match t.backend with
-  | B_acc (_, ex) -> Exec_acc.region_count ex
-  | B_straight (_, ex) -> Exec_straight.region_count ex
-
-let fused_block_count t =
-  match t.backend with
-  | B_acc (_, ex) -> Exec_acc.fused_block_count ex
-  | B_straight (_, ex) -> Exec_straight.fused_block_count ex
-
 let acc_ctx t =
   match t.backend with B_acc (ctx, _) -> Some ctx | B_straight _ -> None
 
@@ -399,8 +372,6 @@ let c_seg_trap = Obs.counter "vm.seg.trap_recoveries"
 let c_seg_fuel = Obs.counter "vm.seg.fuel_stops"
 let c_flushes = Obs.counter "vm.flushes"
 let c_capacity_flushes = Obs.counter "vm.capacity_flushes"
-let c_region_invalidations = Obs.counter "vm.flush.region_invalidations"
-let c_fused_invalidations = Obs.counter "vm.flush.fused_invalidations"
 let c_cost_xunits = Obs.counter "cost.translate_units"
 let c_cost_iunits = Obs.counter "cost.interp_units"
 let c_cost_xinsns = Obs.counter "cost.translated_insns"
@@ -436,8 +407,6 @@ let publish_obs t =
     Obs.bump c_seg_fuel t.segs.fuel_stops;
     Obs.bump c_flushes t.segs.flushes;
     Obs.bump c_capacity_flushes t.segs.capacity_flushes;
-    Obs.bump c_region_invalidations t.segs.region_invalidations;
-    Obs.bump c_fused_invalidations t.segs.fused_invalidations;
     let cost = cost t in
     Obs.bump c_cost_xunits cost.Cost.translate_units;
     Obs.bump c_cost_iunits cost.Cost.interp_units;
@@ -524,7 +493,7 @@ let conv_frag (f : Tcache.frag) : Persist.Snapshot.frag =
 let unconv_frag (f : Persist.Snapshot.frag) : Tcache.frag =
   { id = f.f_id; entry_slot = f.f_entry_slot; v_start = f.f_v_start;
     n_slots = f.f_n_slots; v_insns = f.f_v_insns; v_bytes = f.f_v_bytes;
-    i_bytes = f.f_i_bytes; exec_count = 0; region_state = 0;
+    i_bytes = f.f_i_bytes; exec_count = 0;
     cat_count = Array.copy f.f_cat_count }
 
 let conv_exit : Exitr.reason -> Persist.Snapshot.exit_reason = function
@@ -544,7 +513,7 @@ let refill_vec v xs =
   Array.iter (Vec.push v) xs
 
 let build_cache ~slots ~frags ~peis ~exits ~slot_alpha ~slot_class
-    ~slot_cyc_ooo ~slot_cyc_ildp ~dispatch_slot ~unique_vpcs ~idioms :
+    ~dispatch_slot ~unique_vpcs :
     _ Persist.Snapshot.cache =
   {
     slots;
@@ -561,21 +530,18 @@ let build_cache ~slots ~frags ~peis ~exits ~slot_alpha ~slot_class
     exits = Array.map conv_exit (vec_to_array exits);
     slot_alpha = vec_to_array slot_alpha;
     slot_class = vec_to_array slot_class;
-    slot_cyc_ooo = vec_to_array slot_cyc_ooo;
-    slot_cyc_ildp = vec_to_array slot_cyc_ildp;
     dispatch_slot;
     unique_vpcs =
       Array.of_list
         (List.sort compare
            (Hashtbl.fold (fun k () acc -> k :: acc) unique_vpcs []));
-    idioms;
   }
 
 let save_snapshot t : Persist.Snapshot.t =
   Obs.bump c_persist_saves 1;
   let body =
     match t.backend with
-    | B_acc (ctx, ex) ->
+    | B_acc (ctx, _) ->
       let tc = ctx.Translate.tc in
       let n = Tcache.Acc.n_slots tc in
       let slots =
@@ -586,10 +552,8 @@ let save_snapshot t : Persist.Snapshot.t =
         (build_cache ~slots ~frags:(Tcache.Acc.fragments tc)
            ~peis:(Tcache.Acc.pei_list tc) ~exits:ctx.exits
            ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
-           ~slot_cyc_ooo:ctx.slot_cyc_ooo ~slot_cyc_ildp:ctx.slot_cyc_ildp
-           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs
-           ~idioms:(Superop.encode_table (Exec_acc.idiom_table ex)))
-    | B_straight (ctx, ex) ->
+           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
+    | B_straight (ctx, _) ->
       let tc = ctx.Straighten.tc in
       let n = Tcache.Straight.n_slots tc in
       let slots =
@@ -600,9 +564,7 @@ let save_snapshot t : Persist.Snapshot.t =
         (build_cache ~slots ~frags:(Tcache.Straight.fragments tc)
            ~peis:(Tcache.Straight.pei_list tc) ~exits:ctx.exits
            ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
-           ~slot_cyc_ooo:ctx.slot_cyc_ooo ~slot_cyc_ildp:ctx.slot_cyc_ildp
-           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs
-           ~idioms:(Superop.encode_table (Exec_straight.idiom_table ex)))
+           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
   in
   { fingerprint = fingerprint t; body }
 
@@ -611,21 +573,37 @@ let reject fmt =
     (fun s -> raise (Persist.Snapshot.Error ("snapshot rejected: " ^ s)))
     fmt
 
+let n_classes = Translate.class_id Translate.C_prologue + 1
+
 (* Structural sanity over a decoded cache before any of it is installed:
    the CRC catches corruption of the bytes, this catches a snapshot that
-   decodes cleanly but cannot describe a consistent cache. *)
-let check_cache (c : _ Persist.Snapshot.cache) =
+   decodes cleanly but cannot describe a consistent cache. Every value the
+   engines later use as an unchecked index, a fuel charge or a table key
+   is range-checked here. [exit_id] names the exit-table entry a slot
+   transfers to, if any. *)
+let check_cache t ~exit_id (c : _ Persist.Snapshot.cache) =
   let n = Array.length c.slots in
   if Array.length c.slot_alpha <> n || Array.length c.slot_class <> n then
     reject "per-slot metadata (%d alpha, %d class) does not match %d slots"
       (Array.length c.slot_alpha)
       (Array.length c.slot_class)
       n;
-  if Array.length c.slot_cyc_ooo <> n || Array.length c.slot_cyc_ildp <> n then
-    reject "per-slot cycle annotations (%d ooo, %d ildp) do not match %d slots"
-      (Array.length c.slot_cyc_ooo)
-      (Array.length c.slot_cyc_ildp)
-      n;
+  Array.iteri
+    (fun s a -> if a < 0 then reject "slot %d retires a negative count %d" s a)
+    c.slot_alpha;
+  Array.iteri
+    (fun s k ->
+      if k < 0 || k >= n_classes then
+        reject "slot %d class %d out of range [0, %d)" s k n_classes)
+    c.slot_class;
+  let n_exits = Array.length c.exits in
+  Array.iteri
+    (fun s (insn, _) ->
+      match exit_id insn with
+      | Some id when id < 0 || id >= n_exits ->
+        reject "slot %d exit id %d out of range [0, %d)" s id n_exits
+      | _ -> ())
+    c.slots;
   Array.iteri
     (fun i (f : Persist.Snapshot.frag) ->
       if f.f_id <> i then reject "fragment ids not dense (%d at index %d)" f.f_id i;
@@ -635,24 +613,16 @@ let check_cache (c : _ Persist.Snapshot.cache) =
   Array.iter
     (fun (p : Persist.Snapshot.pei) ->
       if p.p_slot < 0 || p.p_slot >= n then
-        reject "PEI slot %d out of range [0, %d)" p.p_slot n)
+        reject "PEI slot %d out of range [0, %d)" p.p_slot n;
+      Array.iter
+        (fun (a, r) ->
+          if a < 0 || a >= t.cfg.n_accs || r < 0 || r > 31 then
+            reject "PEI slot %d maps accumulator %d to register %d" p.p_slot
+              a r)
+        p.p_acc_map)
     c.peis;
   if c.dispatch_slot < 0 || c.dispatch_slot >= n then
-    reject "dispatch slot %d out of range [0, %d)" c.dispatch_slot n;
-  if Option.is_none (Superop.decode_table c.idioms) then
-    reject
-      "idiom table is malformed (unknown shape code, bad n-gram length, or \
-       negative weight)"
-
-(* The persisted idiom table (validated above) installed on the engine
-   before prewarm, so warm-start region promotion fuses with the profile's
-   idioms instead of re-mining from restored-but-never-executed fragments
-   (whose live exec counts are all zero). An empty table means the save-side
-   cache had nothing hot; the engine then mines on demand as usual. *)
-let restore_idioms set ex (c : _ Persist.Snapshot.cache) =
-  match Superop.decode_table c.idioms with
-  | Some tbl when Array.length tbl > 0 -> set ex tbl
-  | _ -> ()
+    reject "dispatch slot %d out of range [0, %d)" c.dispatch_slot n
 
 let restore_peis (c : _ Persist.Snapshot.cache) =
   Array.to_list
@@ -686,22 +656,6 @@ let reinstall_dispatch t (c : _ Persist.Snapshot.cache) ~prewarm_top =
   done;
   n
 
-(* Under the Region engine, a warm start promotes from the snapshot's
-   hotness profile: every fragment whose persisted execution count crossed
-   the region threshold is region-compiled at load time (hottest first, so
-   overlap resolution favors the hottest loops) — the restored live
-   [exec_count] stays 0 as always. *)
-let hot_region_entries t (c : _ Persist.Snapshot.cache) =
-  if t.cfg.engine <> Config.Region then []
-  else
-    Array.to_list c.frags
-    |> List.filter (fun (f : Persist.Snapshot.frag) ->
-           f.f_exec_count >= t.cfg.region_threshold)
-    |> List.sort
-         (fun (a : Persist.Snapshot.frag) (b : Persist.Snapshot.frag) ->
-           compare (b.f_exec_count, a.f_id) (a.f_exec_count, b.f_id))
-    |> List.map (fun (f : Persist.Snapshot.frag) -> f.f_entry_slot)
-
 let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
   let want = fingerprint t in
   (match Persist.Snapshot.fingerprint_mismatches ~got:snap.fingerprint ~want with
@@ -710,44 +664,39 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
   let prewarmed, slots =
     match (t.backend, snap.body) with
     | B_acc (ctx, ex), Persist.Snapshot.B_acc c ->
-      check_cache c;
+      check_cache t c ~exit_id:(function
+        | Accisa.Insn.Call_xlate { exit_id } | Call_xlate_cond { exit_id; _ } ->
+          Some exit_id
+        | _ -> None);
       Tcache.Acc.restore ctx.Translate.tc ~code:c.slots
         ~frags:(Array.map unconv_frag c.frags) ~peis:(restore_peis c);
       refill_vec ctx.exits (Array.map unconv_exit c.exits);
       refill_vec ctx.slot_alpha c.slot_alpha;
       refill_vec ctx.slot_class c.slot_class;
-      refill_vec ctx.slot_cyc_ooo c.slot_cyc_ooo;
-      refill_vec ctx.slot_cyc_ildp c.slot_cyc_ildp;
       ctx.dispatch_slot <- c.dispatch_slot;
       Hashtbl.reset ctx.unique_vpcs;
       Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
       let n = reinstall_dispatch t c ~prewarm_top in
-      restore_idioms Exec_acc.set_idiom_table ex c;
-      (match t.cfg.engine with
-      | Config.Threaded -> Exec_acc.prewarm ex
-      | Config.Region ->
-        Exec_acc.prewarm ~hot_entries:(hot_region_entries t c) ex
-      | Config.Matched -> ());
+      (* prewarm: pay closure compilation for every restored slot up
+         front instead of on the first [run] *)
+      if t.cfg.engine = Config.Threaded then Exec_acc.sync_ops ex;
       (n, Array.length c.slots)
     | B_straight (ctx, ex), Persist.Snapshot.B_straight c ->
-      check_cache c;
+      check_cache t c ~exit_id:(function
+        | Alpha.Insn.Call_xlate id | Call_xlate_cond (_, _, id) -> Some id
+        | _ -> None);
       Tcache.Straight.restore ctx.Straighten.tc ~code:c.slots
         ~frags:(Array.map unconv_frag c.frags) ~peis:(restore_peis c);
       refill_vec ctx.exits (Array.map unconv_exit c.exits);
       refill_vec ctx.slot_alpha c.slot_alpha;
       refill_vec ctx.slot_class c.slot_class;
-      refill_vec ctx.slot_cyc_ooo c.slot_cyc_ooo;
-      refill_vec ctx.slot_cyc_ildp c.slot_cyc_ildp;
       ctx.dispatch_slot <- c.dispatch_slot;
       Hashtbl.reset ctx.unique_vpcs;
       Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
       let n = reinstall_dispatch t c ~prewarm_top in
-      restore_idioms Exec_straight.set_idiom_table ex c;
-      (match t.cfg.engine with
-      | Config.Threaded -> Exec_straight.prewarm ex
-      | Config.Region ->
-        Exec_straight.prewarm ~hot_entries:(hot_region_entries t c) ex
-      | Config.Matched -> ());
+      (* prewarm: pay closure compilation for every restored slot up
+         front instead of on the first [run] *)
+      if t.cfg.engine = Config.Threaded then Exec_straight.sync_ops ex;
       (n, Array.length c.slots)
     | _ ->
       (* unreachable through [fingerprint_mismatches] unless the file was
@@ -760,9 +709,8 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
 
 (* [prewarm_top] bounds how many fragments get dispatch-table priority on
    a warm start; closure compilation covers every restored slot. *)
-let create ?(cfg = Config.default) ?annotate ?snapshot ?(prewarm_top = 8)
-    ~kind prog =
-  let t = create_cold ?annotate ~cfg ~kind prog in
+let create ?(cfg = Config.default) ?snapshot ?(prewarm_top = 8) ~kind prog =
+  let t = create_cold ~cfg ~kind prog in
   (match snapshot with
   | None -> ()
   | Some snap -> load_snapshot t ~prewarm_top snap);

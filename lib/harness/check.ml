@@ -128,65 +128,6 @@ let check_exec ~tol doc (rows : Throughput.row list) =
     gate_geomean ~ok ~lines ~tol ~what:"geomean speedup" ~base:base_gm gm);
   { ok = !ok; lines = List.rev !lines }
 
-(* ---- region tier-up bench ---- *)
-
-(* Same shape as the exec-bench gate, for BENCH_region.json: re-runs the
-   three-way region sweep, demands every workload still verify (region vs
-   instrumented engines byte-identical in all statistics), and gates two
-   geomeans against the baseline: region/matched over the full suite, and
-   region/threaded over the loop-dominated subset (the superop tier's
-   headline). Baselines predating [geomean_vs_threaded_loop] simply skip
-   the second gate. The full-suite vs-threaded ratio stays note-only: on
-   mixed workloads it sits near 1.0 and its jitter would make a gate
-   flaky. *)
-let check_region ~tol doc (rows : Throughput.region_row list) =
-  let ok = ref true and lines = ref [] in
-  (match parse_exec_baseline doc with
-  | None -> failf ok lines "baseline: malformed region-bench document"
-  | Some (base, base_gm) ->
-    List.iter
-      (fun b ->
-        match
-          List.find_opt
-            (fun (r : Throughput.region_row) -> r.rr_name = b.b_name)
-            rows
-        with
-        | None ->
-          failf ok lines "%s: in baseline but not in current sweep" b.b_name
-        | Some r ->
-          if r.rr_mismatches <> [] then
-            failf ok lines "%s: region engine diverged: %s" b.b_name
-              (String.concat "; " r.rr_mismatches)
-          else begin
-            let s = Throughput.region_speedup r in
-            if rel_exceeds ~tol ~base:b.b_speedup s then
-              notef lines "%s: speedup %.2fx vs baseline %.2fx (>±%.0f%%)"
-                b.b_name s b.b_speedup (100.0 *. tol)
-          end;
-          if not b.b_verified then
-            failf ok lines "%s: baseline itself is marked unverified" b.b_name)
-      base;
-    List.iter
-      (fun (r : Throughput.region_row) ->
-        if not (List.exists (fun b -> b.b_name = r.rr_name) base) then
-          notef lines "%s: new workload, absent from baseline" r.rr_name)
-      rows;
-    let gm = Runner.geomean (List.map Throughput.region_speedup rows) in
-    gate_geomean ~ok ~lines ~tol ~what:"geomean region speedup" ~base:base_gm gm;
-    let module J = Obs.Json in
-    match Option.bind (J.member "geomean_vs_threaded_loop" doc) J.to_float with
-    | None -> () (* baseline predates the superop tier's loop-subset gate *)
-    | Some base_loop ->
-      let cur =
-        match List.filter Throughput.is_loop rows with
-        | [] -> 1.0
-        | loops ->
-          Runner.geomean (List.map Throughput.region_vs_threaded loops)
-      in
-      gate_geomean ~ok ~lines ~tol
-        ~what:"geomean vs-threaded (loop subset)" ~base:base_loop cur);
-  { ok = !ok; lines = List.rev !lines }
-
 (* ---- fast-forward timing bench ---- *)
 
 (* Gate for BENCH_timing.json: re-runs the fast-forward sweep and fails
@@ -315,12 +256,6 @@ let check_persist doc =
           failf ok lines "%s: translation-phase reduction %.3f not positive"
             name r
         | None -> failf ok lines "%s: missing \"translate_reduction\" field" name);
-        (* region warm-start verification; absent in pre-region baselines *)
-        (match Option.bind (J.member "region_verified" row) J.to_bool with
-        | Some false ->
-          failf ok lines
-            "%s: baseline region warm start marked unverified" name
-        | Some true | None -> ());
         match Option.bind (J.member "fingerprint" row) (J.member "image_digest") with
         | Some _ -> ()
         | None -> failf ok lines "%s: missing fingerprint.image_digest" name)
@@ -470,7 +405,7 @@ let check_nn ~tol doc (rows : Nn_bench.row list) =
 (* Gate for BENCH_stress.json: re-runs the three stress arms live and
    fails unless (a) every arm still agrees with the golden interpreter,
    and (b) every arm still hits its structural target — flush-storm
-   forces capacity flushes that kill regions and fused blocks,
+   forces capacity flushes and recompiles closures after them,
    megamorphic keeps chain-class share at least 4x the gzip reference
    with more dispatch misses, call-tower overflows the dual RAS and
    drags its hit rate below gzip's. Counter magnitudes are deterministic
@@ -538,18 +473,16 @@ let check_stress ~tol doc (s : Stress_bench.sweep_result) =
 
 let prefixed p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-(* Runs the appropriate check for [path]. [sweep] / [region_sweep] /
-   [timing_sweep] produce the current rows on demand (only the matching
+(* Runs the appropriate check for [path]. [sweep] / [timing_sweep] /
+   the other sweeps produce the current rows on demand (only the matching
    branch pays for its sweep); [ids] is the current experiment registry. *)
-let run ~tol ~ids ~sweep ~region_sweep ~timing_sweep ~service_sweep ~nn_sweep
+let run ~tol ~ids ~sweep ~timing_sweep ~service_sweep ~nn_sweep
     ~stress_sweep path =
   match Obs.Json.parse_file path with
   | Error e -> { ok = false; lines = [ Printf.sprintf "FAIL %s: %s" path e ] }
   | Ok doc -> (
     match Obs.Envelope.schema_of doc with
     | Some s when prefixed "ildp-dbt-exec-bench/" s -> check_exec ~tol doc (sweep ())
-    | Some s when prefixed "ildp-dbt-region/" s ->
-      check_region ~tol doc (region_sweep ())
     | Some s when prefixed "ildp-dbt-timing/" s ->
       check_timing ~tol doc (timing_sweep ())
     | Some s when prefixed "ildp-dbt-bench/" s -> check_harness doc ~ids

@@ -1,5 +1,5 @@
 (* Quantized-NN inference benchmark: the nn_* workloads run under every
-   translated-execution engine (instrumented match, threaded, region) on
+   translated-execution engine (instrumented match, threaded) on
    the accumulator backend plus the code-straightening backend, and the
    per-layer checksums the kernels print are the verified guest output.
 
@@ -8,13 +8,13 @@
    lated multiply, a wrong shift in requantization, a clamped-vs-unclamped
    ReLU — changes the printed output. [verify] therefore demands
    byte-identical console output (and, between the accumulator engines,
-   identical statistics) across all four runs; the straightening backend
+   identical statistics) across all three runs; the straightening backend
    is held to output/outcome equality only, since its internal statistics
    are legitimately different.
 
    Headline metric is the same whole-VM V-ISA MIPS as the functional-
-   throughput sweep, per engine, with threaded/matched and region/matched
-   speedups gated by [--check] against BENCH_nn.json. *)
+   throughput sweep, per engine, with the threaded/matched speedup gated
+   by [--check] against BENCH_nn.json. *)
 
 type straight_result = {
   st_outcome : string;
@@ -28,7 +28,6 @@ type row = {
   checksums : int list;  (* per-layer checksums parsed from PAL output *)
   matched : Throughput.run_result;
   threaded : Throughput.run_result;
-  region : Throughput.run_result;
   straight : straight_result;
   mismatches : string list;
 }
@@ -66,13 +65,11 @@ let run_straight ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
     st_secs = secs;
   }
 
-let verify ~(matched : Throughput.run_result) ~threaded ~region ~straight =
+let verify ~(matched : Throughput.run_result) ~threaded ~straight =
   let ms = ref [] in
   List.iter
-    (fun (tag, m) ->
-      List.iter (fun s -> ms := (tag ^ " " ^ s) :: !ms) m)
-    [ ("threaded:", Throughput.verify ~matched ~threaded);
-      ("region:", Throughput.verify ~matched ~threaded:region) ];
+    (fun s -> ms := ("threaded: " ^ s) :: !ms)
+    (Throughput.verify ~matched ~threaded);
   if straight.st_outcome <> matched.outcome then
     ms :=
       Printf.sprintf "straight: outcome %s vs %s" straight.st_outcome
@@ -91,21 +88,18 @@ let sweep ?(scale = 1) ?(fuel = default_fuel) ?(repeats = 3) () =
       let run engine () = Throughput.run_once ~engine ~scale ~fuel w in
       let matched = Throughput.best ~repeats (run Core.Config.Matched) in
       let threaded = Throughput.best ~repeats (run Core.Config.Threaded) in
-      let region = Throughput.best ~repeats (run Core.Config.Region) in
       let straight = run_straight ~scale ~fuel w in
       {
         name = w.name;
         checksums = parse_checksums matched.output;
         matched;
         threaded;
-        region;
         straight;
-        mismatches = verify ~matched ~threaded ~region ~straight;
+        mismatches = verify ~matched ~threaded ~straight;
       })
     (nn_workloads ())
 
 let speedup r = Throughput.mips r.threaded /. Throughput.mips r.matched
-let region_speedup r = Throughput.mips r.region /. Throughput.mips r.matched
 let straight_mips r =
   float_of_int r.straight.st_retired /. r.straight.st_secs /. 1e6
 
@@ -113,22 +107,20 @@ let render fmt rows =
   Format.fprintf fmt
     "Quantized NN inference (whole-VM V-ISA MIPS, per-layer checksums \
      verified)@.";
-  Format.fprintf fmt "%-10s %10s %10s %10s %10s  %-28s %s@." "kernel"
-    "matched" "threaded" "region" "straight" "checksums" "check";
+  Format.fprintf fmt "%-10s %10s %10s %10s  %-28s %s@." "kernel"
+    "matched" "threaded" "straight" "checksums" "check";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-10s %10.2f %10.2f %10.2f %10.2f  %-28s %s@."
+      Format.fprintf fmt "%-10s %10.2f %10.2f %10.2f  %-28s %s@."
         r.name
         (Throughput.mips r.matched)
         (Throughput.mips r.threaded)
-        (Throughput.mips r.region)
         (straight_mips r)
         (String.concat " " (List.map string_of_int r.checksums))
         (if r.mismatches = [] then "ok" else String.concat "; " r.mismatches))
     rows;
   let gm = Runner.geomean (List.map speedup rows) in
-  Format.fprintf fmt "%-10s %10s %9.2fx %9.2fx@." "geomean" "" gm
-    (Runner.geomean (List.map region_speedup rows));
+  Format.fprintf fmt "%-10s %10s %9.2fx@." "geomean" "" gm;
   gm
 
 let schema = "ildp-dbt-nn/1"
@@ -142,10 +134,8 @@ let json_of_row r =
       ("v_insns", J.Int (Throughput.retired r.threaded));
       ("match_mips", J.Float (Throughput.mips r.matched));
       ("threaded_mips", J.Float (Throughput.mips r.threaded));
-      ("region_mips", J.Float (Throughput.mips r.region));
       ("straight_mips", J.Float (straight_mips r));
       ("speedup", J.Float (speedup r));
-      ("region_speedup", J.Float (region_speedup r));
       ("verified", J.Bool (r.mismatches = [])) ]
 
 let to_json ~jobs ~scale ~fuel ~repeats rows =
@@ -155,9 +145,7 @@ let to_json ~jobs ~scale ~fuel ~repeats rows =
       ("fuel", J.Int fuel);
       ("repeats", J.Int repeats);
       ("workloads", J.List (List.map json_of_row rows));
-      ("geomean_speedup", J.Float (Runner.geomean (List.map speedup rows)));
-      ("geomean_region_speedup",
-       J.Float (Runner.geomean (List.map region_speedup rows))) ]
+      ("geomean_speedup", J.Float (Runner.geomean (List.map speedup rows))) ]
 
 let write_json path ~jobs ~scale ~fuel ~repeats rows =
   Obs.Json.write_file path (to_json ~jobs ~scale ~fuel ~repeats rows)

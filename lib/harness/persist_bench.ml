@@ -56,10 +56,6 @@ type row = {
   cold : run_out;
   warm : run_out;
   mismatches : string list;
-  region_prewarmed : int;
-      (* regions promoted straight from the snapshot's hotness profile by
-         a region-engine warm start, before executing any instruction *)
-  region_mismatches : string list; (* region warm vs region cold *)
 }
 
 (* Fraction of cold-start translation-phase work the warm start avoided,
@@ -92,36 +88,6 @@ let verify ~(cold : run_out) ~(warm : run_out) =
       :: !ms;
   List.rev !ms
 
-(* Region tier-up warm start, measured separately because the snapshot
-   fingerprint covers the engine: a region-engine cold run's snapshot
-   carries the same hotness profile, and a warm start from it must
-   promote the known-hot fragments to regions at load time — before
-   executing a single guest instruction — then replay to an identical
-   final state. Returns (regions live right after load, mismatches). *)
-let region_warm ~scale ~fuel (w : Workloads.t) =
-  let prog = Workloads.program ~scale w in
-  let cfg = { Core.Config.default with engine = Core.Config.Region } in
-  let cold_vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc prog in
-  ignore (Core.Vm.run ~fuel cold_vm : Core.Vm.outcome);
-  let snap =
-    Persist.Snapshot.of_string
-      (Persist.Snapshot.to_string (Core.Vm.save_snapshot cold_vm))
-  in
-  let warm_vm = Core.Vm.create ~cfg ~snapshot:snap ~kind:Core.Vm.Acc prog in
-  let prewarmed = Core.Vm.region_count warm_vm in
-  ignore (Core.Vm.run ~fuel warm_vm : Core.Vm.outcome);
-  let ms = ref [] in
-  if Core.Vm.output warm_vm <> Core.Vm.output cold_vm then
-    ms := "region warm: output differs" :: !ms;
-  if Core.Vm.reg_checksum warm_vm <> Core.Vm.reg_checksum cold_vm then
-    ms := "region warm: register checksum differs" :: !ms;
-  if warm_vm.superblocks <> 0 then
-    ms :=
-      Printf.sprintf "region warm run formed %d superblocks"
-        warm_vm.superblocks
-      :: !ms;
-  (prewarmed, List.rev !ms)
-
 (* [ext_snapshot]: snapshot bytes saved by an earlier process
    (bench --load-cache), used instead of this run's own encoding for the
    matching workload — a cross-process roundtrip on the measured path. *)
@@ -144,7 +110,6 @@ let run_workload ?(scale = 1) ?(fuel = default_fuel) ?ext_snapshot
       (Array.length c.frags, Array.length c.slots)
   in
   let _, warm = run_vm ~snapshot:loaded ~fuel ~prog () in
-  let region_prewarmed, region_mismatches = region_warm ~scale ~fuel w in
   ( {
       name = w.name;
       fingerprint = loaded.Persist.Snapshot.fingerprint;
@@ -154,8 +119,6 @@ let run_workload ?(scale = 1) ?(fuel = default_fuel) ?ext_snapshot
       cold;
       warm;
       mismatches = verify ~cold ~warm;
-      region_prewarmed;
-      region_mismatches;
     },
     bytes )
 
@@ -191,18 +154,15 @@ let sweep ?(scale = 1) ?(fuel = default_fuel) ?load_cache () =
 let render fmt rows =
   Format.fprintf fmt
     "Persistent-snapshot warm start (cost-model translate units)@.";
-  Format.fprintf fmt "%-12s %9s %6s %11s %11s %10s %8s  %s@." "workload"
-    "snapKB" "frags" "cold_xunit" "warm_xunit" "reduction" "rgn@load" "check";
+  Format.fprintf fmt "%-12s %9s %6s %11s %11s %10s  %s@." "workload"
+    "snapKB" "frags" "cold_xunit" "warm_xunit" "reduction" "check";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-12s %9.1f %6d %11d %11d %9.1f%% %8d  %s@." r.name
+      Format.fprintf fmt "%-12s %9.1f %6d %11d %11d %9.1f%%  %s@." r.name
         (float_of_int r.snapshot_bytes /. 1024.0)
         r.frags r.cold.translate_units r.warm.translate_units
         (100.0 *. reduction r)
-        r.region_prewarmed
-        (match r.mismatches @ r.region_mismatches with
-        | [] -> "ok"
-        | ms -> String.concat "; " ms))
+        (match r.mismatches with [] -> "ok" | ms -> String.concat "; " ms))
     rows;
   let mean =
     List.fold_left (fun a r -> a +. reduction r) 0.0 rows
@@ -226,9 +186,6 @@ let json_of_fp (fp : Persist.Snapshot.fingerprint) =
       ("max_superblock", J.Int fp.fp_max_superblock);
       ("stop_at_translated", J.Bool fp.fp_stop_at_translated);
       ("fuse_mem", J.Bool fp.fp_fuse_mem);
-      ("region_threshold", J.Int fp.fp_region_threshold);
-      ("region_max_slots", J.Int fp.fp_region_max_slots);
-      ("superops", J.Bool fp.fp_superops);
       ("tcache_max_slots", J.Int fp.fp_tcache_max_slots);
       ("image_digest", J.String fp.fp_image_digest) ]
 
@@ -250,13 +207,6 @@ let fp_of_json doc =
     Option.bind (J.member "stop_at_translated" doc) J.to_bool
   in
   let* fp_fuse_mem = Option.bind (J.member "fuse_mem" doc) J.to_bool in
-  let* fp_region_threshold =
-    Option.bind (J.member "region_threshold" doc) J.to_int
-  in
-  let* fp_region_max_slots =
-    Option.bind (J.member "region_max_slots" doc) J.to_int
-  in
-  let* fp_superops = Option.bind (J.member "superops" doc) J.to_bool in
   let* fp_tcache_max_slots =
     Option.bind (J.member "tcache_max_slots" doc) J.to_int
   in
@@ -272,9 +222,6 @@ let fp_of_json doc =
       fp_max_superblock;
       fp_stop_at_translated;
       fp_fuse_mem;
-      fp_region_threshold;
-      fp_region_max_slots;
-      fp_superops;
       fp_tcache_max_slots;
       fp_image_digest;
     }
@@ -297,8 +244,6 @@ let json_of_row r =
       ("warm_translate_units", J.Int r.warm.translate_units);
       ("warm_secs", J.Float r.warm.secs);
       ("translate_reduction", J.Float (reduction r));
-      ("region_prewarmed", J.Int r.region_prewarmed);
-      ("region_verified", J.Bool (r.region_mismatches = []));
       ("verified", J.Bool (r.mismatches = [])) ]
 
 let to_json ~jobs ~scale ~fuel rows =

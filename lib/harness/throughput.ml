@@ -22,46 +22,15 @@ type run_result = {
   i_exec : int;
   by_class : int array;
   alpha : int; (* V-ISA instructions retired in translated mode *)
-  st_cycles : int; (* bulk-charged static cycles; 0 without an annotator *)
   frag_enters : int;
   dras_hits : int;
   dras_misses : int;
   interp_insns : int;
   superblocks : int;
-  hot_cover : float; (* see [hot_cover] below *)
   secs : float;
 }
 
 let default_fuel = 100_000_000
-
-(* Hot-loop concentration: the fraction of translated V-ISA execution
-   (entry-count-weighted guest instructions) spent in the eight hottest
-   fragments. Loop-dominated workloads concentrate execution in a few hot
-   loop bodies — exactly the shape the region/superop tiers accelerate —
-   while call-heavy or branchy ones spread it across many lukewarm
-   fragments. The profile is a property of the workload, not the engine:
-   fragment entry counts are part of the cross-engine verified state. *)
-let hot_frags = 8
-
-let hot_cover vm =
-  let weight (f : Core.Tcache.frag) =
-    float_of_int f.exec_count *. float_of_int f.v_insns
-  in
-  let frags =
-    match (Core.Vm.acc_ctx vm, Core.Vm.straight_ctx vm) with
-    | Some ctx, _ -> Core.Tcache.Acc.fragments ctx.Core.Translate.tc
-    | None, Some ctx -> Core.Tcache.Straight.fragments ctx.Core.Straighten.tc
-    | None, None -> []
-  in
-  let ws = List.sort (fun a b -> compare b a) (List.map weight frags) in
-  let total = List.fold_left ( +. ) 0.0 ws in
-  if total <= 0.0 then 0.0
-  else
-    let rec take n acc = function
-      | w :: tl when n > 0 -> take (n - 1) (acc +. w) tl
-      | _ -> acc
-    in
-    take hot_frags 0.0 ws /. total
 
 let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
   let prog = Workloads.program ~scale w in
@@ -85,13 +54,11 @@ let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
     i_exec = ex.stats.i_exec;
     by_class = Array.copy ex.stats.by_class;
     alpha = ex.stats.alpha_retired;
-    st_cycles = ex.stats.st_cycles;
     frag_enters = ex.stats.frag_enters;
     dras_hits = ex.stats.ret_dras_hits;
     dras_misses = ex.stats.ret_dras_misses;
     interp_insns = vm.interp_insns;
     superblocks = vm.superblocks;
-    hot_cover = hot_cover vm;
     secs;
   }
 
@@ -118,7 +85,6 @@ let verify ~(matched : run_result) ~(threaded : run_result) =
     (fun i c -> chki (Printf.sprintf "by_class.(%d)" i) threaded.by_class.(i) c)
     matched.by_class;
   chki "alpha_retired" threaded.alpha matched.alpha;
-  chki "st_cycles" threaded.st_cycles matched.st_cycles;
   chki "frag_enters" threaded.frag_enters matched.frag_enters;
   chki "ret_dras_hits" threaded.dras_hits matched.dras_hits;
   chki "ret_dras_misses" threaded.dras_misses matched.dras_misses;
@@ -236,124 +202,3 @@ let to_json ~jobs ~scale ~fuel ~repeats rows jobs_rows =
 
 let write_json path ~jobs ~scale ~fuel ~repeats rows jobs_rows =
   Obs.Json.write_file path (to_json ~jobs ~scale ~fuel ~repeats rows jobs_rows)
-
-(* ---------- region tier-up sweep ---------- *)
-
-(* Three-way sweep for the region tier-up engine: each workload runs under
-   the instrumented, threaded, and region engines. The region run must be
-   observationally identical to the instrumented one ([verify], all
-   statistics), and its headline is the same whole-VM MIPS metric plus the
-   speedup over both other engines — the tier-up claim is precisely that
-   region beats threaded on loop-dominated workloads while staying exact. *)
-
-type region_row = {
-  rr_name : string;
-  rr_matched : run_result;
-  rr_threaded : run_result;
-  rr_region : run_result;
-  rr_mismatches : string list; (* region vs matched *)
-}
-
-let region_speedup r = mips r.rr_region /. mips r.rr_matched
-let region_vs_threaded r = mips r.rr_region /. mips r.rr_threaded
-
-(* The loop-dominated subset: workloads whose [hot_cover] says at least
-   90% of translated execution sits in the [hot_frags] hottest fragments.
-   The tier-up claim is specifically about this subset — the region and
-   superop compilers specialize hot loop bodies, so their headline gate
-   ([geomean_vs_threaded_loop] in the JSON) is taken over it, while the
-   full-suite geomean is still reported and regression-checked. *)
-let loop_threshold = 0.9
-
-let is_loop r = r.rr_region.hot_cover >= loop_threshold
-
-let region_sweep ?(scale = 1) ?(fuel = default_fuel) ?(repeats = 3) () =
-  List.map
-    (fun (w : Workloads.t) ->
-      let matched =
-        best ~repeats (fun () ->
-            run_once ~engine:Core.Config.Matched ~scale ~fuel w)
-      in
-      let threaded =
-        best ~repeats (fun () ->
-            run_once ~engine:Core.Config.Threaded ~scale ~fuel w)
-      in
-      let region =
-        best ~repeats (fun () ->
-            run_once ~engine:Core.Config.Region ~scale ~fuel w)
-      in
-      {
-        rr_name = w.name;
-        rr_matched = matched;
-        rr_threaded = threaded;
-        rr_region = region;
-        rr_mismatches = verify ~matched ~threaded:region;
-      })
-    Workloads.all
-
-let render_region fmt rows =
-  Format.fprintf fmt
-    "Region tier-up throughput (whole-VM V-ISA MIPS, translated execution)@.";
-  Format.fprintf fmt "%-12s %10s %10s %10s %9s %9s %6s  %s@." "workload"
-    "matched" "threaded" "region" "vs match" "vs thrd" "cover" "check";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-12s %10.2f %10.2f %10.2f %8.2fx %8.2fx %5.0f%%%s  %s@."
-        r.rr_name (mips r.rr_matched) (mips r.rr_threaded) (mips r.rr_region)
-        (region_speedup r) (region_vs_threaded r)
-        (100.0 *. r.rr_region.hot_cover)
-        (if is_loop r then "*" else " ")
-        (if r.rr_mismatches = [] then "ok"
-         else String.concat "; " r.rr_mismatches))
-    rows;
-  let gm = Runner.geomean (List.map region_speedup rows) in
-  Format.fprintf fmt "%-12s %10s %10s %10s %8.2fx %8.2fx@." "geomean" "" "" ""
-    gm
-    (Runner.geomean (List.map region_vs_threaded rows));
-  (match List.filter is_loop rows with
-  | [] -> ()
-  | loops ->
-    Format.fprintf fmt "%-12s %10s %10s %10s %8s %8.2fx  (%d workloads)@."
-      "loop subset" "" "" "" ""
-      (Runner.geomean (List.map region_vs_threaded loops))
-      (List.length loops));
-  gm
-
-let region_schema = "ildp-dbt-region/1"
-
-let json_of_region_row r =
-  let module J = Obs.Json in
-  J.Obj
-    [ ("name", J.String r.rr_name);
-      ("outcome", J.String r.rr_region.outcome);
-      ("v_insns", J.Int (retired r.rr_region));
-      ("translated_alpha", J.Int r.rr_region.alpha);
-      ("interp_insns", J.Int r.rr_region.interp_insns);
-      ("match_mips", J.Float (mips r.rr_matched));
-      ("threaded_mips", J.Float (mips r.rr_threaded));
-      ("region_mips", J.Float (mips r.rr_region));
-      ("speedup", J.Float (region_speedup r));
-      ("vs_threaded", J.Float (region_vs_threaded r));
-      ("hot_cover", J.Float r.rr_region.hot_cover);
-      ("loop", J.Bool (is_loop r));
-      ("verified", J.Bool (r.rr_mismatches = [])) ]
-
-let region_to_json ~jobs ~scale ~fuel ~repeats rows =
-  let module J = Obs.Json in
-  Obs.Envelope.wrap ~schema:region_schema ~jobs
-    [ ("scale", J.Int scale);
-      ("fuel", J.Int fuel);
-      ("repeats", J.Int repeats);
-      ("workloads", J.List (List.map json_of_region_row rows));
-      ("geomean_speedup",
-       J.Float (Runner.geomean (List.map region_speedup rows)));
-      ("geomean_vs_threaded",
-       J.Float (Runner.geomean (List.map region_vs_threaded rows)));
-      ("geomean_vs_threaded_loop",
-       J.Float
-         (match List.filter is_loop rows with
-         | [] -> 1.0
-         | loops -> Runner.geomean (List.map region_vs_threaded loops))) ]
-
-let write_region_json path ~jobs ~scale ~fuel ~repeats rows =
-  Obs.Json.write_file path (region_to_json ~jobs ~scale ~fuel ~repeats rows)

@@ -72,8 +72,6 @@ type result = Agree of coverage | Diverge of divergence
 val run :
   ?granularity:granularity ->
   ?threaded:bool ->
-  ?region:bool ->
-  ?superops:bool ->
   ?flush_every:int ->
   ?fuel:int ->
   ?hot_threshold:int ->
@@ -88,23 +86,13 @@ val run :
     translated execution takes the threaded-code engine — the oracle then
     validates that engine instead of the instrumented one, at the cost of
     per-instruction granularity and fragment-disassembly context in
-    divergence reports. [region] (default false) additionally selects
-    [Core.Config.Region] with an aggressive promotion threshold (4
-    fragment entries), so the oracle validates the region tier-up
-    compiler — bulk accounting, direct intra-region transfers, and
-    region invalidation on flush/patch — against the golden interpreter;
-    it implies the sink-less setup of [threaded]. [region] alone pins
-    [Core.Config.superops] off so the slot-granular tier-2 arm stays
-    covered; [superops] (default false) implies [region] and turns the
-    fused superop tier on, validating block fusion — specialized closure
-    emission, idiom-template arms, mid-block fault unwinds — against the
-    golden interpreter. [flush_every] > 0
-    injects a {!Core.Vm.flush}
+    divergence reports. [flush_every] > 0 injects a {!Core.Vm.flush}
     every that many segment boundaries (default 0 = never).
     [hot_threshold] defaults to 10 so short programs reach translated
     code. [tcache_max_slots] (default unbounded) bounds the translation
-    cache, so capacity-policy flushes — including the region and fused
-    invalidations they force — run under lockstep verification too. [warm_start] (default false) first runs a throwaway VM cold to
+    cache, so capacity-policy flushes — and the closure recompilation
+    they force — run under lockstep verification too. [warm_start]
+    (default false) first runs a throwaway VM cold to
     completion, saves its translation cache through the full
     {!Persist.Snapshot} byte encoding, and builds the VM under comparison
     from that snapshot — proving warm start observationally identical to

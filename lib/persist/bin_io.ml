@@ -43,6 +43,7 @@ type reader = { data : string; mutable pos : int }
 let reader data = { data; pos = 0 }
 let pos r = r.pos
 let eof r = r.pos >= String.length r.data
+let remaining r = String.length r.data - r.pos
 
 let error r fmt =
   Printf.ksprintf (fun s -> raise (Error (Printf.sprintf "byte %d: %s" r.pos s))) fmt

@@ -36,6 +36,10 @@ type reader
 val reader : string -> reader
 val pos : reader -> int
 val eof : reader -> bool
+
+val remaining : reader -> int
+(** Bytes left to read. *)
+
 val read_u8 : reader -> int
 val read_u32 : reader -> int
 val read_i64 : reader -> int64

@@ -19,8 +19,12 @@ let magic = "ILDPSNAP"
    idioms immediately instead of re-mining from a cold cache.
    version 5: the fingerprint gained fp_tcache_max_slots — a cache
    persisted under one capacity bound must not warm-start a VM whose
-   bound (and hence flush points) differs. *)
-let version = 5
+   bound (and hence flush points) differs.
+   version 6: the region/superop tiers and the static cycle annotation
+   were removed — the fingerprint lost fp_region_threshold,
+   fp_region_max_slots and fp_superops, the cache lost slot_cyc_ooo,
+   slot_cyc_ildp and the idiom table. *)
+let version = 6
 
 type fingerprint = {
   fp_backend : string;
@@ -32,9 +36,6 @@ type fingerprint = {
   fp_max_superblock : int;
   fp_stop_at_translated : bool;
   fp_fuse_mem : bool;
-  fp_region_threshold : int;
-  fp_region_max_slots : int;
-  fp_superops : bool;
   fp_tcache_max_slots : int;
   fp_image_digest : string;
 }
@@ -60,9 +61,6 @@ let fingerprint_mismatches ~got ~want =
       i "max_superblock" got.fp_max_superblock want.fp_max_superblock;
       b "stop_at_translated" got.fp_stop_at_translated want.fp_stop_at_translated;
       b "fuse_mem" got.fp_fuse_mem want.fp_fuse_mem;
-      i "region_threshold" got.fp_region_threshold want.fp_region_threshold;
-      i "region_max_slots" got.fp_region_max_slots want.fp_region_max_slots;
-      b "superops" got.fp_superops want.fp_superops;
       i "tcache_max_slots" got.fp_tcache_max_slots want.fp_tcache_max_slots;
       s "image_digest" got.fp_image_digest want.fp_image_digest;
     ]
@@ -90,15 +88,8 @@ type 'insn cache = {
   exits : exit_reason array;
   slot_alpha : int array;
   slot_class : int array;
-  slot_cyc_ooo : int array;
-  slot_cyc_ildp : int array;
   dispatch_slot : int;
   unique_vpcs : int array;
-  idioms : (int array * int) array;
-      (* ranked superop idiom table: (shape-code n-gram, dynamic weight)
-         rows, hottest first. Codes are validated by the loader
-         (Core.Vm.check_cache), not here — persist cannot see the shape
-         alphabet. Empty means "mine on demand". *)
 }
 
 type body =
@@ -113,8 +104,12 @@ let put_array w put xs =
   B.u32 w (Array.length xs);
   Array.iter (put w) xs
 
+(* Every element encodes to at least one byte, so a count larger than the
+   bytes left is malformed — rejected before anything is allocated. *)
 let get_array r get =
   let n = B.read_u32 r in
+  if n > B.remaining r then
+    B.error r "array count %d exceeds the %d bytes left" n (B.remaining r);
   Array.init n (fun _ -> get r)
 
 let put_fingerprint w fp =
@@ -127,9 +122,6 @@ let put_fingerprint w fp =
   B.int w fp.fp_max_superblock;
   B.bool w fp.fp_stop_at_translated;
   B.bool w fp.fp_fuse_mem;
-  B.int w fp.fp_region_threshold;
-  B.int w fp.fp_region_max_slots;
-  B.bool w fp.fp_superops;
   B.int w fp.fp_tcache_max_slots;
   B.str w fp.fp_image_digest
 
@@ -143,14 +135,10 @@ let get_fingerprint r =
   let fp_max_superblock = B.read_int r in
   let fp_stop_at_translated = B.read_bool r in
   let fp_fuse_mem = B.read_bool r in
-  let fp_region_threshold = B.read_int r in
-  let fp_region_max_slots = B.read_int r in
-  let fp_superops = B.read_bool r in
   let fp_tcache_max_slots = B.read_int r in
   let fp_image_digest = B.read_str r in
   { fp_backend; fp_isa; fp_chaining; fp_engine; fp_n_accs; fp_hot_threshold;
     fp_max_superblock; fp_stop_at_translated; fp_fuse_mem;
-    fp_region_threshold; fp_region_max_slots; fp_superops;
     fp_tcache_max_slots; fp_image_digest }
 
 let put_frag w f =
@@ -224,15 +212,8 @@ let put_cache w put_insn c =
   put_array w put_exit c.exits;
   put_array w B.int c.slot_alpha;
   put_array w B.int c.slot_class;
-  put_array w B.int c.slot_cyc_ooo;
-  put_array w B.int c.slot_cyc_ildp;
   B.int w c.dispatch_slot;
-  put_array w B.int c.unique_vpcs;
-  put_array w
-    (fun w (codes, weight) ->
-      put_array w B.int codes;
-      B.int w weight)
-    c.idioms
+  put_array w B.int c.unique_vpcs
 
 let get_cache r get_insn =
   let slots =
@@ -246,18 +227,10 @@ let get_cache r get_insn =
   let exits = get_array r get_exit in
   let slot_alpha = get_array r B.read_int in
   let slot_class = get_array r B.read_int in
-  let slot_cyc_ooo = get_array r B.read_int in
-  let slot_cyc_ildp = get_array r B.read_int in
   let dispatch_slot = B.read_int r in
   let unique_vpcs = get_array r B.read_int in
-  let idioms =
-    get_array r (fun r ->
-        let codes = get_array r B.read_int in
-        let weight = B.read_int r in
-        (codes, weight))
-  in
-  { slots; frags; peis; exits; slot_alpha; slot_class; slot_cyc_ooo;
-    slot_cyc_ildp; dispatch_slot; unique_vpcs; idioms }
+  { slots; frags; peis; exits; slot_alpha; slot_class; dispatch_slot;
+    unique_vpcs }
 
 let put_body w = function
   | B_acc c ->

@@ -32,9 +32,6 @@ type fingerprint = {
   fp_max_superblock : int;
   fp_stop_at_translated : bool;
   fp_fuse_mem : bool;
-  fp_region_threshold : int;
-  fp_region_max_slots : int;
-  fp_superops : bool;
   fp_tcache_max_slots : int;
   fp_image_digest : string;  (** hex MD5 of the program image + entry *)
 }
@@ -65,17 +62,8 @@ type 'insn cache = {
   exits : exit_reason array;
   slot_alpha : int array;
   slot_class : int array;
-  slot_cyc_ooo : int array;
-      (** per-slot static cycle cost under the wide OoO model *)
-  slot_cyc_ildp : int array;
-      (** per-slot static cycle cost under the ILDP model *)
   dispatch_slot : int;
   unique_vpcs : int array;  (** sorted, for deterministic encodings *)
-  idioms : (int array * int) array;
-      (** ranked superop idiom table, hottest first: (shape-code n-gram,
-          dynamic weight) rows as produced by [Core.Superop.encode_table].
-          Codes are validated at load by [Core.Vm]; empty means "mine on
-          demand". *)
 }
 
 type body =

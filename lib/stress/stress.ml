@@ -14,8 +14,8 @@ let arm_name = function
 
 (* Phase-switching storm: the selector [(t8 >> 4) & 7] holds each of the
    eight phases for 16 consecutive iterations, long enough to get the
-   phase's trace translated (and, at a low region threshold, promoted)
-   before control migrates to the next phase and grows the cache again.
+   phase's trace translated and its closures compiled before control
+   migrates to the next phase and grows the cache again.
    Phases are fat (8–12 ALU lines) so each one costs real slots. *)
 let flush_storm rng k : Gen.block =
   let n_phases = 8 in

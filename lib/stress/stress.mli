@@ -6,9 +6,9 @@
     - {e flush-storm}: a phase-switching loop whose control flow migrates
       to a fresh trace every 16 iterations, growing the translation cache
       without bound. Under a finite [Config.tcache_max_slots] it forces
-      repeated Dynamo-style whole-cache flushes, killing promoted regions
-      and fused blocks mid-flight (the invalidation counters in
-      [Core.Vm]'s segment stats record the carnage).
+      repeated Dynamo-style whole-cache flushes, dropping the threaded
+      engine's compiled closures mid-flight ([Core.Vm]'s segment stats
+      count the flushes, the engine counts the recompiled slots).
     - {e megamorphic}: indirect jumps whose target changes every single
       iteration, cycling through 16 cases. Software target prediction
       (translation-time compare-and-branch chaining) predicts one target,

@@ -1,73 +1,18 @@
 open Machine
 
-(* Fast-forward timing tier: static fragment cycle annotation plus an
-   interval-sampling controller (cf. "Cycle Accurate Binary Translation for
-   Simulation Acceleration" and SMARTS-style systematic sampling).
+(* Fast-forward timing tier: an interval-sampling controller (cf.
+   "Cycle Accurate Binary Translation for Simulation Acceleration" and
+   SMARTS-style systematic sampling).
 
-   Two independent mechanisms live here:
-
-   - {!annotate} computes, at translation time, the per-slot static cycle
-     cost of a fragment under both detailed models (Ooo and Ildp). The
-     execution engines charge these costs in bulk exactly where they charge
-     V-ISA retirement, which yields a cycle estimate for sink-less runs at
-     threaded/region speed — no events, no model feed;
-   - {!create} wraps a detailed model's [feed]/[boundary]/[cycles] as a
-     sampling sink: each interval opens with a warm-up window that feeds
-     the model to reheat its stale state, then a detail window whose
-     measured cycle deltas are charged and calibrated, then a fast window
-     that skips the model feed entirely; warm-up and fast instructions are
-     back-charged at the detail windows' measured rate. With
-     [interval = 0] every instruction is a detail instruction, so the
-     controller's total equals the wrapped model's cycle count exactly —
-     the sampling-off exactness invariant the bench gate asserts. *)
-
-(* ---------- static per-slot cycle annotation ---------- *)
-
-(* Per-event cost under one model: feed the straight-line event sequence
-   twice through a fresh model. The first pass warms the I-cache, the
-   predictors and the dependence state; the drain boundary then aligns the
-   fetch front to the commit horizon, and the second pass records each
-   event's increment of the in-order commit horizon. The increments are
-   non-negative (commit is in order) and telescope to the warmed total, so
-   bulk-charging a fragment's slots reproduces the per-instruction model's
-   steady-state cost on straight-line code. Branch events are synthesized
-   not-taken and loads with a constant address, so the annotation is the
-   warmed, well-predicted cost; cold misses, mispredicts and inter-fragment
-   effects are dynamic corrections, not static ones. *)
-let per_event_costs ~feed ~boundary ~last_commit (evs : Ev.t array) =
-  Array.iter feed evs;
-  boundary ();
-  let costs = Array.make (Array.length evs) 0 in
-  let prev = ref (last_commit ()) in
-  Array.iteri
-    (fun i ev ->
-      feed ev;
-      let c = last_commit () in
-      costs.(i) <- c - !prev;
-      prev := c)
-    evs;
-  costs
-
-(* Annotate one fragment's synthesized straight-line event sequence with
-   its static cycle cost under both models: (ooo costs, ildp costs).
-   Deterministic in the event array alone, so every engine sharing a
-   translation cache sees identical annotations. *)
-let annotate ?ooo_params ?ildp_params (evs : Ev.t array) =
-  let ooo = Ooo.create ?params:ooo_params () in
-  let ooo_costs =
-    per_event_costs ~feed:(Ooo.feed ooo)
-      ~boundary:(fun () -> Ooo.boundary ooo)
-      ~last_commit:(fun () -> ooo.Ooo.last_commit)
-      evs
-  in
-  let ildp = Ildp.create ?params:ildp_params () in
-  let ildp_costs =
-    per_event_costs ~feed:(Ildp.feed ildp)
-      ~boundary:(fun () -> Ildp.boundary ildp)
-      ~last_commit:(fun () -> ildp.Ildp.last_commit)
-      evs
-  in
-  (ooo_costs, ildp_costs)
+   {!create} wraps a detailed model's [feed]/[boundary]/[cycles] as a
+   sampling sink: each interval opens with a warm-up window that feeds the
+   model to reheat its stale state, then a detail window whose measured
+   cycle deltas are charged and calibrated, then a fast window that skips
+   the model feed entirely; warm-up and fast instructions are back-charged
+   at the detail windows' measured rate. With [interval = 0] every
+   instruction is a detail instruction, so the controller's total equals
+   the wrapped model's cycle count exactly — the sampling-off exactness
+   invariant the bench gate asserts. *)
 
 (* ---------- interval-sampling controller ---------- *)
 

@@ -1,38 +1,12 @@
-(** Fast-forward timing tier: static fragment cycle annotation plus a
-    SMARTS-style interval-sampling controller.
+(** Fast-forward timing tier: a SMARTS-style interval-sampling
+    controller.
 
     The detailed models ({!Ooo}, {!Ildp}) charge every committed
-    instruction through full cache/predictor/scheduling simulation. This
-    module offers two cheaper operating points:
-
-    - {!annotate} prices a fragment's straight-line event sequence once,
-      at translation time, under both models; the execution engines then
-      charge those static per-slot costs in bulk, giving a cycle estimate
-      at threaded/region speed with no event stream at all;
-    - the sampling controller wraps a live model as a drop-in
-      [feed]/[boundary] sink but forwards only a warm-up + detail window
-      out of every interval, back-charging the skipped remainder at the
-      detail window's measured cycles-per-instruction rate. *)
-
-val per_event_costs :
-  feed:(Machine.Ev.t -> unit) ->
-  boundary:(unit -> unit) ->
-  last_commit:(unit -> int) ->
-  Machine.Ev.t array ->
-  int array
-(** Per-event commit-horizon increments of a model fed the sequence twice:
-    the first pass warms caches and predictors, [boundary] drains, and the
-    second pass records each event's delta of [last_commit]. Deltas are
-    non-negative and sum to the warmed steady-state cost of the sequence. *)
-
-val annotate :
-  ?ooo_params:Ooo.params ->
-  ?ildp_params:Ildp.params ->
-  Machine.Ev.t array ->
-  int array * int array
-(** [(ooo_costs, ildp_costs)] for one fragment's synthesized straight-line
-    events, each from a fresh model instance — deterministic in the event
-    array alone. *)
+    instruction through full cache/predictor/scheduling simulation. The
+    sampling controller wraps a live model as a drop-in [feed]/[boundary]
+    sink but forwards only a warm-up + detail window out of every
+    interval, back-charging the skipped remainder at the detail window's
+    measured cycles-per-instruction rate. *)
 
 (** {2 Interval-sampling controller} *)
 

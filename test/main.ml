@@ -17,7 +17,6 @@ let () =
       ("pool", Test_pool.suite);
       ("service", Test_service.suite);
       ("oracle", Test_oracle.suite);
-      ("superop", Test_superop.suite);
       ("stress", Test_stress.suite);
       ("exec_closure", Test_exec_closure.suite);
       ("obs", Test_obs.suite);

@@ -1,7 +1,6 @@
-(* Differential tests for the threaded-code execution engine and its
-   region tier-up: sink-less VM runs through the closure-compiled path —
-   and through region-promoted closures with bulk accounting — must be
-   observationally identical to the instrumented match engine: same
+(* Differential tests for the threaded-code execution engine: sink-less
+   VM runs through the closure-compiled path must be observationally
+   identical to the instrumented match engine: same
    architected state, same statistics, same segment accounting — across
    every backend/ISA/chaining mode, across cache flushes, and through
    trap/PEI repair. A final case checks that attaching a sink forces the
@@ -28,6 +27,9 @@ type obs = {
   superblocks : int;
   segs : int * int * int * int * int;
   flushes : int;
+  recompiled : int;
+      (* closures compiled after a flush; engine-specific, so not part of
+         [show] *)
 }
 
 let show o =
@@ -51,9 +53,6 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
       fuse_mem = mode.fuse_mem;
       hot_threshold = 10;
       engine;
-      (* aggressive promotion so test-sized programs actually tier up
-         when [engine = Region]; inert otherwise *)
-      region_threshold = 4;
     }
   in
   let vm = Core.Vm.create ~cfg ~kind:mode.kind prog in
@@ -69,7 +68,7 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
     | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
     | Core.Vm.Out_of_fuel -> "fuel"
   in
-  let i_exec, by_class, alpha, frag_enters, dras_hits, dras_misses =
+  let i_exec, by_class, alpha, frag_enters, dras_hits, dras_misses, recompiled =
     match (Core.Vm.acc_exec vm, Core.Vm.straight_exec vm) with
     | Some ex, _ ->
       ( ex.stats.i_exec,
@@ -77,14 +76,16 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
         ex.stats.alpha_retired,
         ex.stats.frag_enters,
         ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses )
+        ex.stats.ret_dras_misses,
+        ex.recompiled )
     | None, Some ex ->
       ( ex.stats.i_exec,
         Array.copy ex.stats.by_class,
         ex.stats.alpha_retired,
         ex.stats.frag_enters,
         ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses )
+        ex.stats.ret_dras_misses,
+        ex.recompiled )
     | None, None -> assert false
   in
   {
@@ -106,14 +107,13 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
         vm.segs.trap_recoveries,
         vm.segs.fuel_stops );
     flushes = vm.segs.flushes;
+    recompiled;
   }
 
 let check_engines name ?flush_every ~mode prog =
   let threaded = run_vm ~engine:Core.Config.Threaded ?flush_every ~mode prog in
   let matched = run_vm ~engine:Core.Config.Matched ?flush_every ~mode prog in
-  let region = run_vm ~engine:Core.Config.Region ?flush_every ~mode prog in
   check Alcotest.string name (show matched) (show threaded);
-  check Alcotest.string (name ^ " [region]") (show matched) (show region);
   threaded
 
 (* ---------- generated programs, every mode ---------- *)
@@ -210,13 +210,12 @@ let test_trap_repair_identical () =
         trap_modes)
     cases
 
-(* ---------- region tier-up: promotion, flush, patch invalidation ------ *)
+(* ---------- closure lifecycle: flush and patch replay ---------- *)
 
-(* The differential cases above already prove the region engine
+(* The differential cases above already prove the threaded engine
    observationally identical to the instrumented one; these cases prove
-   the coverage is not vacuous — regions really compile, charge their
-   statistics in bulk, and get torn down by flushes and chain patches —
-   by diffing the engine's telemetry counters around a run. *)
+   the closure shadow's lifecycle is really exercised — rebuilt after a
+   flush, recompiled in place after a chain patch — on a full workload. *)
 
 let cget snap n = Option.value ~default:0 (Obs.find snap n)
 
@@ -231,7 +230,7 @@ let with_counters f =
       let r = f () in
       (r, Obs.collect ()))
 
-let region_mode : Lockstep.mode =
+let gzip_mode : Lockstep.mode =
   { kind = Core.Vm.Acc; isa = Core.Config.Modified;
     chaining = Core.Config.Sw_pred_ras; fuse_mem = false }
 
@@ -240,96 +239,40 @@ let workload name =
   | Some w -> Workloads.program ~scale:1 w
   | None -> Alcotest.fail ("missing workload " ^ name)
 
-let test_region_promotes () =
-  let image = workload "gzip" in
-  let matched = run_vm ~engine:Core.Config.Matched ~mode:region_mode image in
-  let region, snap =
-    with_counters (fun () ->
-        run_vm ~engine:Core.Config.Region ~mode:region_mode image)
-  in
-  check Alcotest.string "gzip: region = matched" (show matched) (show region);
-  check Alcotest.bool "regions were compiled" true
-    (cget snap "engine.region_compiles" > 0);
-  check Alcotest.bool "regions charged stats in bulk" true
-    (cget snap "engine.region_exits" > 0)
-
-(* A flush bumps the cache generation mid-run while regions are live: the
-   engine must drop every region closure with the fragments and then
-   re-promote from fresh profile counts — and still match the
-   instrumented engine exactly. *)
-let test_region_flush_mid_region () =
+(* A flush bumps the cache generation mid-run: the engine must drop its
+   whole compiled shadow with the fragments, compile the rebuilt cache
+   afresh, and still match the instrumented engine exactly. *)
+let test_flush_mid_run () =
   let image = workload "gzip" in
   let matched =
-    run_vm ~engine:Core.Config.Matched ~flush_every:5 ~mode:region_mode image
+    run_vm ~engine:Core.Config.Matched ~flush_every:5 ~mode:gzip_mode image
   in
-  let region, snap =
-    with_counters (fun () ->
-        run_vm ~engine:Core.Config.Region ~flush_every:5 ~mode:region_mode
-          image)
+  let threaded =
+    run_vm ~engine:Core.Config.Threaded ~flush_every:5 ~mode:gzip_mode image
   in
-  check Alcotest.string "gzip+flush: region = matched" (show matched)
-    (show region);
-  check Alcotest.bool "re-promoted after generation bump" true
-    (cget snap "engine.region_compiles" >= 2)
+  check Alcotest.string "gzip+flush: threaded = matched" (show matched)
+    (show threaded);
+  check Alcotest.bool "flushed mid-run" true (threaded.flushes >= 1);
+  check Alcotest.bool "closures recompiled after the flush" true
+    (threaded.recompiled > 0)
 
-(* Chain patching rewrites a Call_xlate slot inside an already-promoted
-   region (aggressive promotion makes this the common case: early
-   fragments tier up before their exits are chained). The engine must
-   invalidate the stale region closure — its precomputed tallies and
-   block graph no longer describe the cache — and re-promote later. *)
-let test_region_patch_invalidates () =
+(* Chain patching rewrites a Call_xlate slot whose closure is already
+   compiled (early fragments run before their exits are chained). The
+   engine must replay the patch log into its shadow, recompiling exactly
+   those slots. *)
+let test_patch_replay () =
   let image = workload "gzip" in
-  let matched = run_vm ~engine:Core.Config.Matched ~mode:region_mode image in
-  let region, snap =
+  let matched = run_vm ~engine:Core.Config.Matched ~mode:gzip_mode image in
+  let threaded, snap =
     with_counters (fun () ->
-        run_vm ~engine:Core.Config.Region ~mode:region_mode image)
+        run_vm ~engine:Core.Config.Threaded ~mode:gzip_mode image)
   in
-  check Alcotest.string "gzip: region = matched after patches" (show matched)
-    (show region);
-  check Alcotest.bool "a chain patch invalidated a live region" true
-    (cget snap "engine.region_invalidations" >= 1)
-
-(* Superop fusion rides on promotion (cfg.superops defaults on, so every
-   differential Region case above already runs fused). This case pins the
-   fused-closure lifecycle: promoted regions really fuse per-block
-   closures, a chain patch landing on a slot inside a live fused region
-   drops those closures and restores the slot-granular entry op (the run
-   completing identically to the instrumented engine proves the restored
-   op is the right one), and re-promotion leaves live fused blocks
-   behind. *)
-let test_fused_patch_drops_closures () =
-  let image = workload "gzip" in
-  let matched = run_vm ~engine:Core.Config.Matched ~mode:region_mode image in
-  let cfg =
-    {
-      Core.Config.default with
-      isa = region_mode.isa;
-      chaining = region_mode.chaining;
-      fuse_mem = region_mode.fuse_mem;
-      hot_threshold = 10;
-      engine = Core.Config.Region;
-      region_threshold = 4;
-    }
-  in
-  let vm = Core.Vm.create ~cfg ~kind:region_mode.kind image in
-  let _, snap = with_counters (fun () -> Core.Vm.run ~fuel:10_000_000 vm) in
-  check Alcotest.string "fused run output = matched" matched.output
-    (Core.Vm.output vm);
-  check Alcotest.bool "fused run checksum = matched" true
-    (Int64.equal matched.checksum (Core.Vm.reg_checksum vm));
-  check Alcotest.bool "blocks were fused" true
-    (cget snap "engine.superop_fusions" > 0);
-  check Alcotest.bool "live regions carry fused blocks" true
-    (Core.Vm.fused_block_count vm > 0);
-  check Alcotest.bool "chain patches invalidated live fused regions" true
-    (cget snap "engine.region_invalidations" >= 1
-    && cget snap "tcache.patches" >= 1);
-  (* invalidation restored entry ops and dropped closures; the later
-     re-promotions rebuilt some, so compiles strictly exceed live
-     regions *)
-  check Alcotest.bool "invalidated regions were re-promoted" true
-    (cget snap "engine.region_compiles" > Core.Vm.region_count vm
-    || cget snap "engine.region_invalidations" = 0)
+  check Alcotest.string "gzip: threaded = matched after patches" (show matched)
+    (show threaded);
+  check Alcotest.bool "chain patches were applied" true
+    (cget snap "tcache.patches" >= 1);
+  check Alcotest.bool "patched slots were recompiled" true
+    (cget snap "engine.patch_replays" >= 1)
 
 (* ---------- a sink forces the instrumented engine ---------- *)
 
@@ -365,14 +308,10 @@ let suite =
       test_engines_agree_with_flush;
     Alcotest.test_case "trap/PEI repair identical" `Quick
       test_trap_repair_identical;
-    Alcotest.test_case "region tier-up promotes and agrees" `Quick
-      test_region_promotes;
-    Alcotest.test_case "flush tears down live regions" `Quick
-      test_region_flush_mid_region;
-    Alcotest.test_case "chain patch invalidates live regions" `Quick
-      test_region_patch_invalidates;
-    Alcotest.test_case "patch drops fused closures, restores entry op" `Quick
-      test_fused_patch_drops_closures;
+    Alcotest.test_case "flush mid-run recompiles closures" `Quick
+      test_flush_mid_run;
+    Alcotest.test_case "chain patch replays into closures" `Quick
+      test_patch_replay;
     Alcotest.test_case "sink forces the instrumented engine" `Quick
       test_sink_forces_instrumented;
   ]

@@ -363,8 +363,7 @@ let test_json_fingerprint_roundtrip () =
       fp_chaining = "sw_pred_ras"; fp_engine = "threaded"; fp_n_accs = 4;
       fp_hot_threshold = 45; fp_max_superblock = 200;
       fp_stop_at_translated = false; fp_fuse_mem = true;
-      fp_region_threshold = 100; fp_region_max_slots = 1024;
-      fp_superops = true; fp_tcache_max_slots = max_int;
+      fp_tcache_max_slots = max_int;
       fp_image_digest = "00ff a\"b,c" }
   in
   let doc = Harness.Persist_bench.json_of_fp fp in

@@ -7,8 +7,9 @@
    - a saved snapshot survives encode -> decode structurally unchanged,
      and its byte encoding is deterministic;
    - every kind of damage — bit flips anywhere in the file, truncation at
-     every prefix length, bad magic, version skew, trailing garbage — is
-     rejected with {!Persist.Snapshot.Error}, never loaded;
+     every prefix length, bad magic, version skew, trailing garbage, an
+     inflated array count, out-of-range cache contents behind a valid
+     CRC — is rejected with {!Persist.Snapshot.Error}, never loaded;
    - a snapshot taken under one configuration or program is rejected by a
      VM with any other (fingerprint invalidation);
    - a warm-started VM is observationally identical to a cold one (output,
@@ -111,10 +112,6 @@ let test_roundtrip () =
     check Alcotest.bool "exits equal" true (a.exits = b.exits);
     check Alcotest.bool "slot_alpha equal" true (a.slot_alpha = b.slot_alpha);
     check Alcotest.bool "slot_class equal" true (a.slot_class = b.slot_class);
-    check Alcotest.bool "slot_cyc_ooo equal" true
-      (a.slot_cyc_ooo = b.slot_cyc_ooo);
-    check Alcotest.bool "slot_cyc_ildp equal" true
-      (a.slot_cyc_ildp = b.slot_cyc_ildp);
     check Alcotest.int "dispatch slot" a.dispatch_slot b.dispatch_slot;
     check Alcotest.bool "unique vpcs equal" true (a.unique_vpcs = b.unique_vpcs)
   | _ -> Alcotest.fail "backend tag changed in roundtrip");
@@ -134,34 +131,6 @@ let test_straight_roundtrip () =
   | Persist.Snapshot.B_straight a, Persist.Snapshot.B_straight b ->
     check Alcotest.bool "straight slots equal" true (a.slots = b.slots)
   | _ -> Alcotest.fail "expected straight bodies"
-
-(* Static cycle annotations (the fast-forward tier) travel with the
-   snapshot: a warm start from an annotated VM restores the per-slot
-   costs byte-for-byte instead of recomputing them. *)
-let test_annotations_roundtrip () =
-  let prog = prog_of_seed 3 in
-  let annotate evs = Uarch.Fastfwd.annotate evs in
-  let cfg = cfg_of base_mode in
-  let cold = Core.Vm.create ~cfg ~annotate ~kind:Core.Vm.Acc prog in
-  ignore (Core.Vm.run ~fuel:5_000_000 cold : Core.Vm.outcome);
-  let snap =
-    Persist.Snapshot.of_string
-      (Persist.Snapshot.to_string (Core.Vm.save_snapshot cold))
-  in
-  (match snap.body with
-  | Persist.Snapshot.B_acc c ->
-    check Alcotest.int "ooo annotations ops-parallel" (Array.length c.slots)
-      (Array.length c.slot_cyc_ooo);
-    check Alcotest.int "ildp annotations ops-parallel" (Array.length c.slots)
-      (Array.length c.slot_cyc_ildp);
-    check Alcotest.bool "some annotation positive" true
-      (Array.exists (fun x -> x > 0) c.slot_cyc_ildp)
-  | Persist.Snapshot.B_straight _ -> Alcotest.fail "expected acc body");
-  let warm = Core.Vm.create ~cfg ~annotate ~snapshot:snap ~kind:Core.Vm.Acc prog in
-  let vec_list v = List.init (Machine.Vec.length v) (Machine.Vec.get v) in
-  let cyc vm = vec_list (Option.get (Core.Vm.acc_ctx vm)).slot_cyc_ildp in
-  check Alcotest.bool "warm start restores annotations" true
-    (cyc warm = cyc cold)
 
 (* ---------- damage rejection ---------- *)
 
@@ -201,44 +170,70 @@ let test_framing_rejected () =
       Persist.Snapshot.of_string ("XLDPSNAP" ^ String.sub bytes 8 (String.length bytes - 8)));
   expect_error "trailing garbage" (fun () ->
       Persist.Snapshot.of_string (bytes ^ "x"));
-  (* version skew: bump the little-endian version word at offset 8 *)
+  (* version skew: bump the little-endian version word at offset 8, and
+     stamp the previous format version (v5, which still carried the
+     region/superop and cycle-annotation fields) over it *)
   let b = Bytes.of_string bytes in
   Bytes.set b 8 (Char.chr (Char.code (Bytes.get b 8) + 1));
   expect_error "version skew" (fun () ->
+      Persist.Snapshot.of_string (Bytes.to_string b));
+  Bytes.set b 8 (Char.chr 5);
+  expect_error "v5 snapshot" (fun () ->
       Persist.Snapshot.of_string (Bytes.to_string b))
 
-(* ---------- idiom table (snapshot format v4) ---------- *)
+(* An array count inflated to 0xFFFFFFFF inside a payload whose CRC is
+   recomputed must fail with [Error] before anything is allocated, not
+   with [Out_of_memory]. The slot count sits right after the fingerprint,
+   whose last field is the image digest, then the one-byte backend tag. *)
+let test_inflated_count_rejected () =
+  let snap = snapshot_of (prog_of_seed 5) in
+  let bytes = Persist.Snapshot.to_string snap in
+  let header = 20 (* magic, version, payload length, CRC *) in
+  let payload = String.sub bytes header (String.length bytes - header) in
+  let digest = snap.fingerprint.fp_image_digest in
+  let rec find i =
+    if String.sub payload i (String.length digest) = digest then i
+    else find (i + 1)
+  in
+  let count_at = find 0 + String.length digest + 1 in
+  let p = Bytes.of_string payload in
+  Bytes.fill p count_at 4 '\xff';
+  let p = Bytes.to_string p in
+  let b = Bytes.of_string bytes in
+  Bytes.blit_string p 0 b header (String.length p);
+  let crc = Persist.Bin_io.crc32 p in
+  for k = 0 to 3 do
+    Bytes.set b (16 + k) (Char.chr ((crc lsr (8 * k)) land 0xff))
+  done;
+  match Persist.Snapshot.of_string (Bytes.to_string b) with
+  | _ -> Alcotest.fail "inflated count was accepted"
+  | exception Persist.Snapshot.Error msg ->
+    let has sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    check Alcotest.bool "reports the count" true (has "array count")
 
-(* The mined idiom table rides in the cache body: a cold run that entered
-   fragments produces a non-empty ranked table, and it survives the byte
-   encoding exactly (the warm start fuses with it immediately). *)
-let test_idiom_table_roundtrip () =
-  let snap = snapshot_of (prog_of_seed 3) in
-  let back = Persist.Snapshot.of_string (Persist.Snapshot.to_string snap) in
-  match (snap.body, back.body) with
-  | Persist.Snapshot.B_acc a, Persist.Snapshot.B_acc b ->
-    check Alcotest.bool "profile mined a non-empty idiom table" true
-      (Array.length a.idioms > 0);
-    check Alcotest.bool "idiom rows equal after roundtrip" true
-      (a.idioms = b.idioms);
-    (match Core.Superop.decode_table b.idioms with
-    | Some tbl ->
-      check Alcotest.int "decoded table row-parallel" (Array.length b.idioms)
-        (Array.length tbl)
-    | None -> Alcotest.fail "persisted idiom table failed to decode")
-  | _ -> Alcotest.fail "expected acc bodies"
+(* ---------- crafted caches behind a valid CRC ---------- *)
 
-(* A structurally corrupt idiom table behind a *valid* container CRC
+(* Structurally corrupt cache contents behind a *valid* container CRC
    (re-encoding recomputes it) must still be rejected at load — semantic
-   validation cannot hide behind the checksum. *)
-let test_corrupt_idiom_table_rejected () =
+   validation cannot hide behind the checksum. Each input below would
+   otherwise become an unchecked index in the threaded trampoline, lift
+   the fuel budget, or crash mid-run. *)
+let test_crafted_cache_rejected () =
   let prog = prog_of_seed 6 in
   let snap = snapshot_of prog in
-  let poison idioms =
+  let c =
     match snap.body with
-    | Persist.Snapshot.B_acc c ->
-      { snap with Persist.Snapshot.body = Persist.Snapshot.B_acc { c with idioms } }
+    | Persist.Snapshot.B_acc c -> c
     | Persist.Snapshot.B_straight _ -> Alcotest.fail "expected acc body"
+  in
+  let poison c =
+    { snap with Persist.Snapshot.body = Persist.Snapshot.B_acc c }
   in
   let load s =
     let s = Persist.Snapshot.of_string (Persist.Snapshot.to_string s) in
@@ -246,11 +241,43 @@ let test_corrupt_idiom_table_rejected () =
       (Core.Vm.create ~cfg:(cfg_of base_mode) ~snapshot:s ~kind:Core.Vm.Acc prog
         : Core.Vm.t)
   in
-  expect_error "unknown shape code" (fun () ->
-      load (poison [| ([| 255; 0 |], 1) |]));
-  expect_error "bad n-gram length" (fun () -> load (poison [| ([| 0 |], 1) |]));
-  expect_error "negative weight" (fun () ->
-      load (poison [| ([| 0; 1 |], -3) |]));
+  let set0 xs v =
+    let xs = Array.copy xs in
+    xs.(0) <- v;
+    xs
+  in
+  let n_exits = Array.length c.exits in
+  let with_slot0 insn = set0 c.slots (insn, false) in
+  let with_pei map =
+    Array.append c.peis
+      [| { Persist.Snapshot.p_slot = 0; p_v_pc = 0; p_acc_map = map } |]
+  in
+  expect_error "slot class out of range" (fun () ->
+      load (poison { c with slot_class = set0 c.slot_class 9 }));
+  expect_error "negative slot class" (fun () ->
+      load (poison { c with slot_class = set0 c.slot_class (-1) }));
+  expect_error "negative retirement count" (fun () ->
+      load (poison { c with slot_alpha = set0 c.slot_alpha (-1_000_000) }));
+  expect_error "call-translator exit id out of range" (fun () ->
+      load
+        (poison
+           { c with
+             slots = with_slot0 (Accisa.Insn.Call_xlate { exit_id = n_exits })
+           }));
+  expect_error "conditional exit id out of range" (fun () ->
+      load
+        (poison
+           { c with
+             slots =
+               with_slot0
+                 (Accisa.Insn.Call_xlate_cond
+                    { cond = Alpha.Insn.Eq; v = Accisa.Insn.Sacc 0;
+                      exit_id = -1 })
+           }));
+  expect_error "PEI accumulator beyond n_accs" (fun () ->
+      load (poison { c with peis = with_pei [| (4, 1) |] }));
+  expect_error "PEI register beyond r31" (fun () ->
+      load (poison { c with peis = with_pei [| (0, 32) |] }));
   (* and the unpoisoned snapshot still loads *)
   load snap
 
@@ -423,15 +450,13 @@ let suite =
     Alcotest.test_case "snapshot roundtrip (acc)" `Quick test_roundtrip;
     Alcotest.test_case "snapshot roundtrip (straight)" `Quick
       test_straight_roundtrip;
-    Alcotest.test_case "cycle annotations roundtrip" `Quick
-      test_annotations_roundtrip;
     Alcotest.test_case "bit flips rejected" `Quick test_corruption_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "framing damage rejected" `Quick test_framing_rejected;
-    Alcotest.test_case "idiom table roundtrips" `Quick
-      test_idiom_table_roundtrip;
-    Alcotest.test_case "corrupt idiom table rejected" `Quick
-      test_corrupt_idiom_table_rejected;
+    Alcotest.test_case "inflated array count rejected" `Quick
+      test_inflated_count_rejected;
+    Alcotest.test_case "corrupt cache behind a valid CRC" `Quick
+      test_crafted_cache_rejected;
     Alcotest.test_case "fingerprint mismatches rejected" `Quick
       test_fingerprint_rejected;
     Alcotest.test_case "mismatch report" `Quick test_mismatch_report;
