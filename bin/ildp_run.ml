@@ -147,20 +147,15 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
       load_cache;
     Printf.bprintf buf "interp insns   : %d\n" vm.interp_insns;
     Printf.bprintf buf "superblocks    : %d\n" vm.superblocks;
-    (match Core.Vm.acc_exec vm with
-    | Some ex ->
-      Printf.bprintf buf "I-ISA executed : %d (%d copy, %d chain)\n"
-        ex.stats.i_exec ex.stats.by_class.(1) ex.stats.by_class.(2);
-      Printf.bprintf buf "V-ISA in frags : %d\n" ex.stats.alpha_retired;
-      if ex.stats.alpha_retired > 0 then
-        Printf.bprintf buf "expansion      : %.3f\n"
-          (float_of_int ex.stats.i_exec /. float_of_int ex.stats.alpha_retired)
-    | None -> ());
-    (match Core.Vm.straight_exec vm with
-    | Some ex ->
-      Printf.bprintf buf "translated exec: %d\n" ex.stats.i_exec;
-      Printf.bprintf buf "V-ISA in frags : %d\n" ex.stats.alpha_retired
-    | None -> ());
+    let st = Core.Vm.exec_stats vm in
+    if straight then Printf.bprintf buf "translated exec: %d\n" st.i_exec
+    else
+      Printf.bprintf buf "I-ISA executed : %d (%d copy, %d chain)\n" st.i_exec
+        st.by_class.(1) st.by_class.(2);
+    Printf.bprintf buf "V-ISA in frags : %d\n" st.alpha_retired;
+    if (not straight) && st.alpha_retired > 0 then
+      Printf.bprintf buf "expansion      : %.3f\n"
+        (float_of_int st.i_exec /. float_of_int st.alpha_retired);
     (match Core.Vm.acc_ctx vm with
     | Some ctx ->
       Printf.bprintf buf "DBT work/insn  : %.0f\n"

@@ -17,9 +17,8 @@
 
 type kind = Acc | Straight_only
 
-type backend =
-  | B_acc of Translate.ctx * Exec_acc.t
-  | B_straight of Straighten.ctx * Exec_straight.t
+(* The engine owns its translator context ([ex.ctx]). *)
+type backend = B_acc of Exec_acc.t | B_straight of Exec_straight.t
 
 (* How a translated-execution segment ended. Recorded just before the
    [boundary] callback fires, so boundary observers (timing models, the
@@ -68,12 +67,9 @@ let create_cold ~cfg ~kind prog =
   let interp = Alpha.Interp.create prog in
   let backend =
     match kind with
-    | Acc ->
-      let ctx = Translate.create cfg in
-      B_acc (ctx, Exec_acc.create ctx interp)
+    | Acc -> B_acc (Exec_acc.create (Translate.create cfg) interp)
     | Straight_only ->
-      let ctx = Straighten.create cfg in
-      B_straight (ctx, Exec_straight.create ctx interp)
+      B_straight (Exec_straight.create (Straighten.create cfg) interp)
   in
   { cfg; prog; interp; backend; counters = Hashtbl.create 512; fuel = max_int;
     interp_insns = 0; superblocks = 0;
@@ -85,25 +81,48 @@ let create_cold ~cfg ~kind prog =
 
 let cost t =
   match t.backend with
-  | B_acc (ctx, _) -> ctx.cost
-  | B_straight (ctx, _) -> ctx.cost
+  | B_acc ex -> ex.ctx.cost
+  | B_straight ex -> ex.ctx.cost
 
 let is_translated t pc =
   match t.backend with
-  | B_acc (ctx, _) -> Tcache.Acc.is_translated ctx.tc pc
-  | B_straight (ctx, _) -> Tcache.Straight.is_translated ctx.tc pc
+  | B_acc ex -> Tcache.Acc.is_translated ex.ctx.tc pc
+  | B_straight ex -> Tcache.Straight.is_translated ex.ctx.tc pc
 
 let entry_of t pc =
   match t.backend with
-  | B_acc (ctx, _) -> Tcache.Acc.lookup ctx.tc pc
-  | B_straight (ctx, _) -> Tcache.Straight.lookup ctx.tc pc
+  | B_acc ex -> Tcache.Acc.lookup ex.ctx.tc pc
+  | B_straight ex -> Tcache.Straight.lookup ex.ctx.tc pc
 
 let translate t sb =
   t.superblocks <- t.superblocks + 1;
   Obs.with_span sp_translate (fun () ->
       match t.backend with
-      | B_acc (ctx, _) -> Translate.translate ctx t.interp.mem sb
-      | B_straight (ctx, _) -> Straighten.translate ctx t.interp.mem sb)
+      | B_acc ex -> Translate.translate ex.ctx t.interp.mem sb
+      | B_straight ex -> Straighten.translate ex.ctx t.interp.mem sb)
+
+(* ---------- the engine, whichever backend runs it ---------- *)
+
+let exec_stats t : Exec.stats =
+  match t.backend with B_acc ex -> ex.stats | B_straight ex -> ex.stats
+
+let dual_ras t =
+  match t.backend with B_acc ex -> ex.dras | B_straight ex -> ex.dras
+
+(* V-ISA instructions retired so far: interpreted plus retired in
+   fragments. Every fuel decrement in [run] is one of the two. *)
+let retired t = t.interp_insns + (exec_stats t).alpha_retired
+
+(* Slots the threaded engine compiled again after a cache flush. *)
+let recompiled t =
+  match t.backend with
+  | B_acc ex -> ex.recompiled
+  | B_straight ex -> ex.recompiled
+
+let n_slots t =
+  match t.backend with
+  | B_acc ex -> Tcache.Acc.n_slots ex.ctx.tc
+  | B_straight ex -> Tcache.Straight.n_slots ex.ctx.tc
 
 type outcome = Exit of int | Fault of Alpha.Interp.trap | Out_of_fuel
 
@@ -116,19 +135,11 @@ type outcome = Exit of int | Fault of Alpha.Interp.trap | Out_of_fuel
 let flush t =
   Obs.with_span sp_flush (fun () ->
       (match t.backend with
-      | B_acc (ctx, ex) ->
-        Translate.flush ctx t.interp.mem;
-        Machine.Dual_ras.clear ex.Exec_acc.dras
-      | B_straight (ctx, ex) ->
-        Straighten.flush ctx t.interp.mem;
-        Machine.Dual_ras.clear ex.Exec_straight.dras);
+      | B_acc ex -> Translate.flush ex.ctx t.interp.mem
+      | B_straight ex -> Straighten.flush ex.ctx t.interp.mem);
+      Machine.Dual_ras.clear (dual_ras t);
       Hashtbl.reset t.counters;
       t.segs.flushes <- t.segs.flushes + 1)
-
-let dual_ras t =
-  match t.backend with
-  | B_acc (_, ex) -> ex.Exec_acc.dras
-  | B_straight (_, ex) -> ex.Exec_straight.dras
 
 (* Capacity policy (Dynamo-style): a bounded translation cache is flushed
    wholesale the moment a translation pushes it past the configured slot
@@ -137,12 +148,7 @@ let dual_ras t =
    flush is safe). *)
 let capacity_flush_check t =
   if t.cfg.tcache_max_slots < max_int then begin
-    let slots =
-      match t.backend with
-      | B_acc (ctx, _) -> Tcache.Acc.n_slots ctx.tc
-      | B_straight (ctx, _) -> Tcache.Straight.n_slots ctx.tc
-    in
-    if slots > t.cfg.tcache_max_slots then begin
+    if n_slots t > t.cfg.tcache_max_slots then begin
       t.segs.capacity_flushes <- t.segs.capacity_flushes + 1;
       flush t
     end
@@ -202,24 +208,16 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
   (* Hoisted out of [exec_translated] so the segment-rate dispatch below
      allocates no closure while telemetry is off (the span thunk is only
      built when the switch is on). *)
+  let stats = exec_stats t in
   let exec_backend entry =
-    match t.backend with
-    | B_acc (_, ex) ->
-      let before = ex.stats.alpha_retired in
-      let r = Exec_acc.run ?sink ~fuel:t.fuel ex ~entry in
-      t.fuel <- t.fuel - (ex.stats.alpha_retired - before);
-      (match r with
-      | Exec_acc.X_reason reason -> `Reason reason
-      | Exec_acc.X_trap_recovered -> `Trap_recovered
-      | Exec_acc.X_fuel -> `Fuel)
-    | B_straight (_, ex) ->
-      let before = ex.stats.alpha_retired in
-      let r = Exec_straight.run ?sink ~fuel:t.fuel ex ~entry in
-      t.fuel <- t.fuel - (ex.stats.alpha_retired - before);
-      (match r with
-      | Exec_straight.X_reason reason -> `Reason reason
-      | Exec_straight.X_trap_recovered -> `Trap_recovered
-      | Exec_straight.X_fuel -> `Fuel)
+    let before = stats.alpha_retired in
+    let r =
+      match t.backend with
+      | B_acc ex -> Exec_acc.run ?sink ~fuel:t.fuel ex ~entry
+      | B_straight ex -> Exec_straight.run ?sink ~fuel:t.fuel ex ~entry
+    in
+    t.fuel <- t.fuel - (stats.alpha_retired - before);
+    r
   in
   let exec_translated entry =
     let exit_ =
@@ -228,19 +226,19 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
     in
     let seg =
       match exit_ with
-      | `Reason (Exitr.R_branch v) ->
+      | Exec.X_reason (Exitr.R_branch v) ->
         t.segs.branch_exits <- t.segs.branch_exits + 1;
         Seg_branch v
-      | `Reason (Exitr.R_pal v) ->
+      | X_reason (Exitr.R_pal v) ->
         t.segs.pal_exits <- t.segs.pal_exits + 1;
         Seg_pal v
-      | `Reason Exitr.R_dispatch_miss ->
+      | X_reason Exitr.R_dispatch_miss ->
         t.segs.dispatch_misses <- t.segs.dispatch_misses + 1;
         Seg_dispatch_miss
-      | `Trap_recovered ->
+      | X_trap_recovered ->
         t.segs.trap_recoveries <- t.segs.trap_recoveries + 1;
         Seg_trap_recovered
-      | `Fuel ->
+      | X_fuel ->
         t.segs.fuel_stops <- t.segs.fuel_stops + 1;
         Seg_fuel
     in
@@ -250,8 +248,8 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
   in
   let dispatch_target () =
     match t.backend with
-    | B_acc (_, ex) -> Exec_acc.dispatch_target ex
-    | B_straight (_, ex) -> Exec_straight.dispatch_target ex
+    | B_acc ex -> Exec_acc.dispatch_target ex
+    | B_straight ex -> Exec_straight.dispatch_target ex
   in
   let interp_one () =
     match interp_step_accounted t with
@@ -281,21 +279,21 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
       match entry_of t pc with
       | Some entry -> (
         match exec_translated entry with
-        | `Reason (Exitr.R_branch v) ->
+        | Exec.X_reason (Exitr.R_branch v) ->
           t.interp.pc <- v;
           candidate := true
-        | `Reason (Exitr.R_pal v_pc) ->
+        | X_reason (Exitr.R_pal v_pc) ->
           t.interp.pc <- v_pc;
           interp_reentry ()
-        | `Reason Exitr.R_dispatch_miss ->
+        | X_reason Exitr.R_dispatch_miss ->
           t.interp.pc <- dispatch_target ();
           candidate := true
-        | `Trap_recovered ->
+        | X_trap_recovered ->
           (* re-execute the faulting V-ISA instruction by interpretation;
              it raises the architectural trap with precise state (or, if
              the retry succeeds because state was repaired, continues) *)
           interp_reentry ()
-        | `Fuel -> result := Some Out_of_fuel)
+        | X_fuel -> result := Some Out_of_fuel)
       | None ->
         if !candidate then begin
           Cost.tick (cost t) Cost.profile_lookup;
@@ -342,16 +340,16 @@ let reg_checksum t = Alpha.Interp.reg_checksum t.interp
 let memory t = t.interp.mem
 
 let acc_exec t =
-  match t.backend with B_acc (_, ex) -> Some ex | B_straight _ -> None
+  match t.backend with B_acc ex -> Some ex | B_straight _ -> None
 
 let straight_exec t =
-  match t.backend with B_straight (_, ex) -> Some ex | B_acc _ -> None
+  match t.backend with B_straight ex -> Some ex | B_acc _ -> None
 
 let acc_ctx t =
-  match t.backend with B_acc (ctx, _) -> Some ctx | B_straight _ -> None
+  match t.backend with B_acc ex -> Some ex.ctx | B_straight _ -> None
 
 let straight_ctx t =
-  match t.backend with B_straight (ctx, _) -> Some ctx | B_acc _ -> None
+  match t.backend with B_straight ex -> Some ex.ctx | B_acc _ -> None
 
 (* ---------- telemetry publication ---------- *)
 
@@ -412,31 +410,21 @@ let publish_obs t =
     Obs.bump c_cost_iunits cost.Cost.interp_units;
     Obs.bump c_cost_xinsns cost.Cost.translated_insns;
     Obs.bump c_cost_iinsns cost.Cost.interp_insns;
-    let i_exec, by_class, alpha, enters, dh, dm =
-      match t.backend with
-      | B_acc (_, ex) ->
-        let s = ex.Exec_acc.stats in
-        ( s.i_exec, s.by_class, s.alpha_retired, s.frag_enters,
-          s.ret_dras_hits, s.ret_dras_misses )
-      | B_straight (_, ex) ->
-        let s = ex.Exec_straight.stats in
-        ( s.i_exec, s.by_class, s.alpha_retired, s.frag_enters,
-          s.ret_dras_hits, s.ret_dras_misses )
-    in
-    Obs.bump c_i_exec i_exec;
-    Obs.bump c_alpha alpha;
-    Obs.bump c_frag_enters enters;
-    Obs.bump c_dras_hits dh;
-    Obs.bump c_dras_misses dm;
+    let s = exec_stats t in
+    Obs.bump c_i_exec s.i_exec;
+    Obs.bump c_alpha s.alpha_retired;
+    Obs.bump c_frag_enters s.frag_enters;
+    Obs.bump c_dras_hits s.ret_dras_hits;
+    Obs.bump c_dras_misses s.ret_dras_misses;
     Obs.bump c_dras_overflows (dual_ras t).Machine.Dual_ras.overflows;
-    Array.iteri (fun i c -> Obs.bump c_class.(i) c) by_class;
+    Array.iteri (fun i c -> Obs.bump c_class.(i) c) s.by_class;
     match t.backend with
-    | B_acc (ctx, _) ->
-      Obs.bump c_spills ctx.Translate.n_spills;
-      Obs.bump c_splits ctx.Translate.n_splits;
-      Obs.bump c_i_bytes (Tcache.Acc.total_i_bytes ctx.Translate.tc)
-    | B_straight (ctx, _) ->
-      Obs.bump c_i_bytes (Tcache.Straight.total_i_bytes ctx.Straighten.tc)
+    | B_acc { ctx; _ } ->
+      Obs.bump c_spills ctx.n_spills;
+      Obs.bump c_splits ctx.n_splits;
+      Obs.bump c_i_bytes (Tcache.Acc.total_i_bytes ctx.tc)
+    | B_straight { ctx; _ } ->
+      Obs.bump c_i_bytes (Tcache.Straight.total_i_bytes ctx.tc)
   end
 
 (* ---------- persistent snapshots: save / warm start ---------- *)
@@ -541,8 +529,8 @@ let save_snapshot t : Persist.Snapshot.t =
   Obs.bump c_persist_saves 1;
   let body =
     match t.backend with
-    | B_acc (ctx, _) ->
-      let tc = ctx.Translate.tc in
+    | B_acc { ctx; _ } ->
+      let tc = ctx.tc in
       let n = Tcache.Acc.n_slots tc in
       let slots =
         Array.init n (fun sl ->
@@ -553,8 +541,8 @@ let save_snapshot t : Persist.Snapshot.t =
            ~peis:(Tcache.Acc.pei_list tc) ~exits:ctx.exits
            ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
            ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
-    | B_straight (ctx, _) ->
-      let tc = ctx.Straighten.tc in
+    | B_straight { ctx; _ } ->
+      let tc = ctx.tc in
       let n = Tcache.Straight.n_slots tc in
       let slots =
         Array.init n (fun sl ->
@@ -663,7 +651,7 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
   | ms -> reject "%s" (String.concat "; " ms));
   let prewarmed, slots =
     match (t.backend, snap.body) with
-    | B_acc (ctx, ex), Persist.Snapshot.B_acc c ->
+    | B_acc { ctx; _ }, Persist.Snapshot.B_acc c ->
       check_cache t c ~exit_id:(function
         | Accisa.Insn.Call_xlate { exit_id } | Call_xlate_cond { exit_id; _ } ->
           Some exit_id
@@ -676,12 +664,8 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
       ctx.dispatch_slot <- c.dispatch_slot;
       Hashtbl.reset ctx.unique_vpcs;
       Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
-      let n = reinstall_dispatch t c ~prewarm_top in
-      (* prewarm: pay closure compilation for every restored slot up
-         front instead of on the first [run] *)
-      if t.cfg.engine = Config.Threaded then Exec_acc.sync_ops ex;
-      (n, Array.length c.slots)
-    | B_straight (ctx, ex), Persist.Snapshot.B_straight c ->
+      (reinstall_dispatch t c ~prewarm_top, Array.length c.slots)
+    | B_straight { ctx; _ }, Persist.Snapshot.B_straight c ->
       check_cache t c ~exit_id:(function
         | Alpha.Insn.Call_xlate id | Call_xlate_cond (_, _, id) -> Some id
         | _ -> None);
@@ -693,16 +677,19 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
       ctx.dispatch_slot <- c.dispatch_slot;
       Hashtbl.reset ctx.unique_vpcs;
       Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
-      let n = reinstall_dispatch t c ~prewarm_top in
-      (* prewarm: pay closure compilation for every restored slot up
-         front instead of on the first [run] *)
-      if t.cfg.engine = Config.Threaded then Exec_straight.sync_ops ex;
-      (n, Array.length c.slots)
+      (reinstall_dispatch t c ~prewarm_top, Array.length c.slots)
     | _ ->
       (* unreachable through [fingerprint_mismatches] unless the file was
          hand-crafted with an inconsistent backend/body pair *)
       reject "body does not match the %s backend" (backend_name t)
   in
+  (* prewarm: pay closure compilation for every restored slot up front
+     instead of on the first [run] *)
+  if t.cfg.engine = Config.Threaded then begin
+    match t.backend with
+    | B_acc ex -> Exec_acc.sync_ops ex
+    | B_straight ex -> Exec_straight.sync_ops ex
+  end;
   Obs.bump c_persist_loads 1;
   Obs.bump c_persist_slots slots;
   Obs.bump c_persist_prewarmed prewarmed

@@ -168,12 +168,6 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
   Memory.set_dirty_tracking golden.mem true;
   Memory.set_dirty_tracking vm.interp.mem true;
   let mode_str = mode_name mode in
-  let retired () =
-    vm.interp.icount
-    + (match Core.Vm.acc_exec vm with
-      | Some ex -> ex.stats.alpha_retired
-      | None -> (Option.get (Core.Vm.straight_exec vm)).stats.alpha_retired)
-  in
   let boundaries = ref 0 in
   let insn_checks = ref 0 in
   let last_i_pc = ref (-1) in
@@ -186,7 +180,7 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
          {
            d_mode = mode_str;
            where;
-           retired = retired ();
+           retired = Core.Vm.retired vm;
            mismatches;
            frag_disasm = Option.map fst frag;
            v_range = Option.map snd frag;
@@ -207,7 +201,7 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
       fail ~where [ Snapshot.Retire { got = target; want = golden.icount } ]
   in
   let check ~where ~mem =
-    advance ~where (retired ());
+    advance ~where (Core.Vm.retired vm);
     let ms =
       Snapshot.diff_live ~is_private ~mem ~got:vm.interp ~want:golden ()
     in
@@ -282,16 +276,10 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
         fail ~where:"final outcome"
           [ Snapshot.Outcome { got = show vm_end; want = show golden_outcome } ]
       end);
-    let dras_hits, dras_misses =
-      match Core.Vm.acc_exec vm with
-      | Some ex -> (ex.stats.ret_dras_hits, ex.stats.ret_dras_misses)
-      | None ->
-        let ex = Option.get (Core.Vm.straight_exec vm) in
-        (ex.stats.ret_dras_hits, ex.stats.ret_dras_misses)
-    in
+    let st = Core.Vm.exec_stats vm in
     Agree
       {
-        retired = retired ();
+        retired = Core.Vm.retired vm;
         boundaries = !boundaries;
         insn_checks = !insn_checks;
         superblocks = vm.superblocks;
@@ -300,8 +288,8 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
         dispatch_misses = vm.segs.dispatch_misses;
         trap_recoveries = vm.segs.trap_recoveries;
         flushes = vm.segs.flushes;
-        dras_hits;
-        dras_misses;
+        dras_hits = st.ret_dras_hits;
+        dras_misses = st.ret_dras_misses;
         outcome = outcome_str;
         trap;
       }

@@ -127,15 +127,6 @@ let create ?(cfg = Core.Config.default) ?jobs ?capacity ?spill_dir ~tenants ()
 let image_bytes (prog : Alpha.Program.t) =
   String.length prog.text.bytes + String.length prog.data.bytes
 
-(* Exact fuel consumed by a VM run: instructions interpreted plus V-ISA
-   instructions retired in translated fragments. Every fuel decrement in
-   [Core.Vm] is one of these two, so this reproduces the VM's own
-   accounting to the instruction (asserted by test_service). *)
-let fuel_used vm =
-  Core.Vm.(
-    vm.interp_insns
-    + match acc_exec vm with Some ex -> ex.stats.alpha_retired | None -> 0)
-
 (* Runs on a pool worker. [reserve] fuel was debited at admission; the
    difference against actual use is settled here, under the service
    lock, together with the backpressure bookkeeping. *)
@@ -160,7 +151,7 @@ let run_session t (rq : request) ~reserve ~admitted_at =
     with e ->
       if not warm then Registry.abandon t.registry fp;
       (* settle before re-raising so the tenant is still charged *)
-      let used = fuel_used vm in
+      let used = Core.Vm.retired vm in
       Mutex.lock t.m;
       (match Hashtbl.find_opt t.tenants rq.rq_tenant with
       | Some tn -> tn.tn_fuel_left <- tn.tn_fuel_left + reserve - used
@@ -187,7 +178,7 @@ let run_session t (rq : request) ~reserve ~admitted_at =
     | S_fault _ | S_fuel | S_quota | S_cancelled ->
       Registry.abandon t.registry fp
   end;
-  let used = fuel_used vm in
+  let used = Core.Vm.retired vm in
   let latency_ms = (Unix.gettimeofday () -. admitted_at) *. 1000. in
   Mutex.lock t.m;
   (match Hashtbl.find_opt t.tenants rq.rq_tenant with

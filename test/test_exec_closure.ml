@@ -68,36 +68,17 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
     | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
     | Core.Vm.Out_of_fuel -> "fuel"
   in
-  let i_exec, by_class, alpha, frag_enters, dras_hits, dras_misses, recompiled =
-    match (Core.Vm.acc_exec vm, Core.Vm.straight_exec vm) with
-    | Some ex, _ ->
-      ( ex.stats.i_exec,
-        Array.copy ex.stats.by_class,
-        ex.stats.alpha_retired,
-        ex.stats.frag_enters,
-        ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses,
-        ex.recompiled )
-    | None, Some ex ->
-      ( ex.stats.i_exec,
-        Array.copy ex.stats.by_class,
-        ex.stats.alpha_retired,
-        ex.stats.frag_enters,
-        ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses,
-        ex.recompiled )
-    | None, None -> assert false
-  in
+  let st = Core.Vm.exec_stats vm in
   {
     outcome;
     output = Core.Vm.output vm;
     checksum = Core.Vm.reg_checksum vm;
-    i_exec;
-    by_class;
-    alpha;
-    frag_enters;
-    dras_hits;
-    dras_misses;
+    i_exec = st.i_exec;
+    by_class = Array.copy st.by_class;
+    alpha = st.alpha_retired;
+    frag_enters = st.frag_enters;
+    dras_hits = st.ret_dras_hits;
+    dras_misses = st.ret_dras_misses;
     interp = vm.interp_insns;
     superblocks = vm.superblocks;
     segs =
@@ -107,7 +88,7 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
         vm.segs.trap_recoveries,
         vm.segs.fuel_stops );
     flushes = vm.segs.flushes;
-    recompiled;
+    recompiled = Core.Vm.recompiled vm;
   }
 
 let check_engines name ?flush_every ~mode prog =
@@ -215,7 +196,8 @@ let test_trap_repair_identical () =
 (* The differential cases above already prove the threaded engine
    observationally identical to the instrumented one; these cases prove
    the closure shadow's lifecycle is really exercised — rebuilt after a
-   flush, recompiled in place after a chain patch — on a full workload. *)
+   flush, recompiled in place after a chain patch — on a full workload,
+   for both backends (the lifecycle is shared code). *)
 
 let cget snap n = Option.value ~default:0 (Obs.find snap n)
 
@@ -230,9 +212,11 @@ let with_counters f =
       let r = f () in
       (r, Obs.collect ()))
 
-let gzip_mode : Lockstep.mode =
-  { kind = Core.Vm.Acc; isa = Core.Config.Modified;
-    chaining = Core.Config.Sw_pred_ras; fuse_mem = false }
+let gzip_mode kind : Lockstep.mode =
+  { kind; isa = Core.Config.Modified; chaining = Core.Config.Sw_pred_ras;
+    fuse_mem = false }
+
+let kinds = [ ("acc", Core.Vm.Acc); ("straight", Core.Vm.Straight_only) ]
 
 let workload name =
   match Workloads.find name with
@@ -244,17 +228,24 @@ let workload name =
    afresh, and still match the instrumented engine exactly. *)
 let test_flush_mid_run () =
   let image = workload "gzip" in
-  let matched =
-    run_vm ~engine:Core.Config.Matched ~flush_every:5 ~mode:gzip_mode image
-  in
-  let threaded =
-    run_vm ~engine:Core.Config.Threaded ~flush_every:5 ~mode:gzip_mode image
-  in
-  check Alcotest.string "gzip+flush: threaded = matched" (show matched)
-    (show threaded);
-  check Alcotest.bool "flushed mid-run" true (threaded.flushes >= 1);
-  check Alcotest.bool "closures recompiled after the flush" true
-    (threaded.recompiled > 0)
+  List.iter
+    (fun (name, kind) ->
+      let mode = gzip_mode kind in
+      let matched =
+        run_vm ~engine:Core.Config.Matched ~flush_every:5 ~mode image
+      in
+      let threaded =
+        run_vm ~engine:Core.Config.Threaded ~flush_every:5 ~mode image
+      in
+      check Alcotest.string
+        (name ^ " gzip+flush: threaded = matched")
+        (show matched) (show threaded);
+      check Alcotest.bool (name ^ " flushed mid-run") true
+        (threaded.flushes >= 1);
+      check Alcotest.bool
+        (name ^ " closures recompiled after the flush")
+        true (threaded.recompiled > 0))
+    kinds
 
 (* Chain patching rewrites a Call_xlate slot whose closure is already
    compiled (early fragments run before their exits are chained). The
@@ -262,17 +253,22 @@ let test_flush_mid_run () =
    those slots. *)
 let test_patch_replay () =
   let image = workload "gzip" in
-  let matched = run_vm ~engine:Core.Config.Matched ~mode:gzip_mode image in
-  let threaded, snap =
-    with_counters (fun () ->
-        run_vm ~engine:Core.Config.Threaded ~mode:gzip_mode image)
-  in
-  check Alcotest.string "gzip: threaded = matched after patches" (show matched)
-    (show threaded);
-  check Alcotest.bool "chain patches were applied" true
-    (cget snap "tcache.patches" >= 1);
-  check Alcotest.bool "patched slots were recompiled" true
-    (cget snap "engine.patch_replays" >= 1)
+  List.iter
+    (fun (name, kind) ->
+      let mode = gzip_mode kind in
+      let matched = run_vm ~engine:Core.Config.Matched ~mode image in
+      let threaded, snap =
+        with_counters (fun () ->
+            run_vm ~engine:Core.Config.Threaded ~mode image)
+      in
+      check Alcotest.string
+        (name ^ " gzip: threaded = matched after patches")
+        (show matched) (show threaded);
+      check Alcotest.bool (name ^ " chain patches were applied") true
+        (cget snap "tcache.patches" >= 1);
+      check Alcotest.bool (name ^ " patched slots were recompiled") true
+        (cget snap "engine.patch_replays" >= 1))
+    kinds
 
 (* ---------- a sink forces the instrumented engine ---------- *)
 

@@ -147,23 +147,12 @@ let run_vm ~(mode : Lockstep.mode) image =
   (vm, outcome)
 
 let show_run (vm, outcome) =
+  let st = Core.Vm.exec_stats vm in
   let stats =
-    match (Core.Vm.acc_exec vm, Core.Vm.straight_exec vm) with
-    | Some ex, _ ->
-      Printf.sprintf "i_exec=%d by_class=[%s] alpha=%d enters=%d dras=%d/%d"
-        ex.stats.i_exec
-        (String.concat ";"
-           (Array.to_list (Array.map string_of_int ex.stats.by_class)))
-        ex.stats.alpha_retired ex.stats.frag_enters ex.stats.ret_dras_hits
-        ex.stats.ret_dras_misses
-    | None, Some ex ->
-      Printf.sprintf "i_exec=%d by_class=[%s] alpha=%d enters=%d dras=%d/%d"
-        ex.stats.i_exec
-        (String.concat ";"
-           (Array.to_list (Array.map string_of_int ex.stats.by_class)))
-        ex.stats.alpha_retired ex.stats.frag_enters ex.stats.ret_dras_hits
-        ex.stats.ret_dras_misses
-    | None, None -> assert false
+    Printf.sprintf "i_exec=%d by_class=[%s] alpha=%d enters=%d dras=%d/%d"
+      st.i_exec
+      (String.concat ";" (Array.to_list (Array.map string_of_int st.by_class)))
+      st.alpha_retired st.frag_enters st.ret_dras_hits st.ret_dras_misses
   in
   Printf.sprintf
     "outcome=%s output=%S regs=%#Lx interp=%d superblocks=%d \
@@ -215,24 +204,14 @@ let test_counters_match_stats () =
       chki "vm.seg.trap_recoveries" vm.segs.trap_recoveries
         (get s "vm.seg.trap_recoveries");
       chki "vm.flushes" vm.segs.flushes (get s "vm.flushes");
-      (match (Core.Vm.acc_exec vm, Core.Vm.straight_exec vm) with
-      | Some ex, _ ->
-        chki "engine.i_exec" ex.stats.i_exec (get s "engine.i_exec");
-        chki "engine.alpha_retired" ex.stats.alpha_retired
-          (get s "engine.alpha_retired");
-        chki "engine.frag_enters" ex.stats.frag_enters
-          (get s "engine.frag_enters");
-        chki "engine.ret_dras_hits" ex.stats.ret_dras_hits
-          (get s "engine.ret_dras_hits");
-        chki "engine.class.copy" ex.stats.by_class.(1)
-          (get s "engine.class.copy")
-      | None, Some ex ->
-        chki "engine.i_exec" ex.stats.i_exec (get s "engine.i_exec");
-        chki "engine.alpha_retired" ex.stats.alpha_retired
-          (get s "engine.alpha_retired");
-        chki "engine.frag_enters" ex.stats.frag_enters
-          (get s "engine.frag_enters")
-      | None, None -> assert false);
+      let st = Core.Vm.exec_stats vm in
+      chki "engine.i_exec" st.i_exec (get s "engine.i_exec");
+      chki "engine.alpha_retired" st.alpha_retired
+        (get s "engine.alpha_retired");
+      chki "engine.frag_enters" st.frag_enters (get s "engine.frag_enters");
+      chki "engine.ret_dras_hits" st.ret_dras_hits
+        (get s "engine.ret_dras_hits");
+      chki "engine.class.copy" st.by_class.(1) (get s "engine.class.copy");
       (* cache/translator counters are live (not published): sanity-link
          them to the run rather than to a struct *)
       if vm.superblocks > 0 then begin

@@ -372,7 +372,7 @@ let test_prewarm_compiles_closures () =
       prog
   in
   let ex = Option.get (Core.Vm.acc_exec vm) in
-  check Alcotest.int "all restored slots compiled" slots ex.Core.Exec_acc.ops_len
+  check Alcotest.int "all restored slots compiled" slots ex.ops_len
 
 (* A flush after a warm start must invalidate every restored structure
    (generation bump) and still leave a correct VM. *)

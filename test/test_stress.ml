@@ -47,14 +47,12 @@ let run_vm ~cfg prog =
   | Core.Vm.Out_of_fuel -> Alcotest.fail "stress arm ran out of fuel");
   vm
 
-let stats vm = (Option.get (Core.Vm.acc_exec vm)).Core.Exec_acc.stats
-
 let threaded_cfg =
   { Core.Config.default with
     engine = Core.Config.Threaded; hot_threshold = 10 }
 
 let chain_share vm =
-  let st = stats vm in
+  let st = Core.Vm.exec_stats vm in
   float_of_int st.by_class.(2) /. float_of_int (max 1 st.i_exec)
 
 (* Flush storm under a bounded cache on the threaded engine: phase
@@ -70,7 +68,7 @@ let test_flush_storm () =
   check Alcotest.bool "flushes recorded" true
     (segs.Core.Vm.flushes >= segs.Core.Vm.capacity_flushes);
   check Alcotest.bool "closures recompiled after a flush" true
-    ((Option.get (Core.Vm.acc_exec vm)).Core.Exec_acc.recompiled > 0)
+    (Core.Vm.recompiled vm > 0)
 
 (* Unbounded cache: the same program must never flush — the counter is
    specific to the capacity policy, not flushing in general. *)
@@ -107,7 +105,7 @@ let test_call_tower () =
   let dras = Core.Vm.dual_ras vm in
   check Alcotest.bool "dual-RAS overflows fired" true
     (dras.Machine.Dual_ras.overflows > 0);
-  let st = stats vm in
+  let st = Core.Vm.exec_stats vm in
   let total = st.ret_dras_hits + st.ret_dras_misses in
   check Alcotest.bool "returns executed" true (total > 0);
   let rate = float_of_int st.ret_dras_hits /. float_of_int total in
