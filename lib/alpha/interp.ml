@@ -1,5 +1,6 @@
 module Memory = Machine.Memory
 module Ev = Machine.Ev
+module Cell = Machine.Cell
 
 (* Alpha functional interpreter with precise trap semantics.
 
@@ -29,8 +30,21 @@ let pal_halt = 0
 let pal_putc = 1
 let pal_putint = 2
 
+(* Register file layout, in cells (see {!Machine.Cell}): cells 0-31 are
+   the architected registers, and r31's cell is never written, so it always
+   reads zero. Cell 32 holds an operate instruction's literal, and cell 33
+   takes writes to r31, which are discarded. Engines resolve a register to
+   its read cell ([r lsl 3]) or write cell ({!wr_off}) once and then move
+   values cell to cell, unboxed. *)
+let lit_cell = 32
+let discard_cell = 33
+let n_cells = 34
+
+(* Byte offset of the cell a write to register [r] lands in. *)
+let wr_off r = if r = Reg.zero then discard_cell lsl 3 else r lsl 3
+
 type t = {
-  regs : int64 array; (* 32 architected registers; r31 pinned to zero *)
+  regs : Cell.t; (* register cells, laid out as above *)
   mutable pc : int;
   mem : Memory.t;
   out : Buffer.t;
@@ -54,8 +68,8 @@ let create prog =
   let mem = Memory.create () in
   Program.load prog mem;
   let code = Program.predecode prog in
-  let regs = Array.make 32 0L in
-  regs.(Reg.sp) <- Int64.of_int Program.stack_top;
+  let regs = Cell.create n_cells in
+  Cell.set regs (Reg.sp lsl 3) (Int64.of_int Program.stack_top);
   {
     regs;
     pc = prog.entry;
@@ -67,37 +81,44 @@ let create prog =
     text_limit = prog.text.base + (4 * Array.length code);
   }
 
-let get t r = if r = Reg.zero then 0L else t.regs.(r)
+(* Boxed accessors, for code off the per-instruction path (the oracle,
+   dispatch-miss targets, tests). *)
+let get t r =
+  if r < 0 || r > Reg.zero then invalid_arg "Interp.get: register";
+  Cell.get t.regs (r lsl 3)
 
-let set t r v = if r <> Reg.zero then t.regs.(r) <- v
+let set t r v =
+  if r < 0 || r > Reg.zero then invalid_arg "Interp.set: register";
+  Cell.set t.regs (wr_off r) v
 
 let output t = Buffer.contents t.out
 
-let fetch t pc =
-  if pc < t.text_base || pc >= t.text_limit || pc land 3 <> 0 then None
-  else Some t.code.((pc - t.text_base) lsr 2)
+let in_text t pc = pc >= t.text_base && pc < t.text_limit && pc land 3 = 0
 
 let addr_mask = 0x3fffffffffff (* keep effective addresses positive ints *)
 
-let ea_of t rb disp = (Int64.to_int (get t rb) + disp) land addr_mask
+let ea_of t rb disp =
+  (Int64.to_int (Cell.get t.regs (rb lsl 3)) + disp) land addr_mask
 
 let align_ok addr width = addr land (width - 1) = 0
 
+let fall_through pc insn =
+  Step { xpc = pc; insn; taken = false; next_pc = pc + 4; ea = 0 }
+
+let taken_to pc insn target =
+  Step { xpc = pc; insn; taken = true; next_pc = target; ea = 0 }
+
 (* Execute the instruction [insn] sitting at [pc] against the architected
-   state, returning the outcome. Shared with the DBT runtime, which needs to
-   execute individual V-ISA instructions during trap recovery. *)
+   state, returning the outcome. Register fields are the decoder's 5-bit
+   ones, so every cell offset below stays inside the file. *)
 let exec_insn t pc (insn : Insn.t) : step_result =
-  let info ?(taken = false) ?(ea = 0) next_pc =
-    Step { xpc = pc; insn; taken; next_pc; ea }
-  in
-  let seq = pc + 4 in
+  let regs = t.regs in
   match insn with
-  | Mem (Lda, ra, disp, rb) ->
-    set t ra (Int64.add (get t rb) (Int64.of_int disp));
-    info seq
-  | Mem (Ldah, ra, disp, rb) ->
-    set t ra (Int64.add (get t rb) (Int64.of_int (disp * 65536)));
-    info seq
+  | Mem (((Lda | Ldah) as op), ra, disp, rb) ->
+    let d = match op with Ldah -> disp * 65536 | _ -> disp in
+    Cell.set regs (wr_off ra)
+      (Int64.add (Cell.get regs (rb lsl 3)) (Int64.of_int d));
+    fall_through pc insn
   | Mem (op, ra, disp, rb) -> (
     let addr = ea_of t rb disp in
     let width =
@@ -110,54 +131,65 @@ let exec_insn t pc (insn : Insn.t) : step_result =
     if not (align_ok addr width) then
       Trapped (Unaligned { pc; addr; width })
     else
+      let m = t.mem and od = wr_off ra and v = Cell.get regs (ra lsl 3) in
       try
         (match op with
-        | Ldq -> set t ra (Memory.get_i64 t.mem addr)
+        | Ldq -> Memory.get_i64_into m addr regs od
         | Ldl ->
-          set t ra (Int64.of_int32 (Int64.to_int32 (Int64.of_int (Memory.get_u32 t.mem addr))))
-        | Ldwu -> set t ra (Int64.of_int (Memory.get_u16 t.mem addr))
-        | Ldbu -> set t ra (Int64.of_int (Memory.get_u8 t.mem addr))
-        | Stq -> Memory.set_i64 t.mem addr (get t ra)
-        | Stl -> Memory.set_u32 t.mem addr (Int64.to_int (Int64.logand (get t ra) 0xffffffffL))
-        | Stw -> Memory.set_u16 t.mem addr (Int64.to_int (Int64.logand (get t ra) 0xffffL))
-        | Stb -> Memory.set_u8 t.mem addr (Int64.to_int (Int64.logand (get t ra) 0xffL))
+          Cell.set regs od
+            (Int64.of_int32 (Int32.of_int (Memory.get_u32 m addr)))
+        | Ldwu -> Cell.set regs od (Int64.of_int (Memory.get_u16 m addr))
+        | Ldbu -> Cell.set regs od (Int64.of_int (Memory.get_u8 m addr))
+        | Stq -> Memory.set_i64_from m addr regs (ra lsl 3)
+        | Stl -> Memory.set_u32 m addr (Int64.to_int v land 0xffffffff)
+        | Stw -> Memory.set_u16 m addr (Int64.to_int v land 0xffff)
+        | Stb -> Memory.set_u8 m addr (Int64.to_int v land 0xff)
         | Lda | Ldah -> assert false);
-        info ~ea:addr seq
+        Step { xpc = pc; insn; taken = false; next_pc = pc + 4; ea = addr }
       with Memory.Fault a ->
         Trapped (Mem_fault { pc; addr = a; is_store = Insn.is_store insn }))
   | Opr (op, ra, operand, rc) ->
-    let b = match operand with Insn.Rb r -> get t r | Imm i -> Int64.of_int i in
+    let ob =
+      match operand with
+      | Insn.Rb r -> r lsl 3
+      | Imm i ->
+        Cell.set regs (lit_cell lsl 3) (Int64.of_int i);
+        lit_cell lsl 3
+    in
     if Insn.is_cmov insn then begin
-      if Insn.cond_true (Insn.cmov_cond op) (get t ra) then set t rc b;
-      info seq
+      let c = Insn.cond_cell (Insn.cmov_cond op) in
+      if c regs (ra lsl 3) then Cell.set regs (wr_off rc) (Cell.get regs ob)
     end
     else begin
-      set t rc (Insn.eval_op op (get t ra) b);
-      info seq
-    end
-  | Br (ra, disp) ->
-    set t ra (Int64.of_int seq);
-    info ~taken:true (seq + (4 * disp))
-  | Bsr (ra, disp) ->
-    set t ra (Int64.of_int seq);
-    info ~taken:true (seq + (4 * disp))
+      let f = Insn.eval_into op in
+      f regs (wr_off rc) regs (ra lsl 3) regs ob
+    end;
+    fall_through pc insn
+  | Br (ra, disp) | Bsr (ra, disp) ->
+    Cell.set regs (wr_off ra) (Int64.of_int (pc + 4));
+    taken_to pc insn (pc + 4 + (4 * disp))
   | Bc (c, ra, disp) ->
-    if Insn.cond_true c (get t ra) then info ~taken:true (seq + (4 * disp))
-    else info seq
+    let c = Insn.cond_cell c in
+    if c regs (ra lsl 3) then taken_to pc insn (pc + 4 + (4 * disp))
+    else fall_through pc insn
   | Jump (_, ra, rb) ->
-    let target = Int64.to_int (get t rb) land addr_mask land lnot 3 in
-    set t ra (Int64.of_int seq);
-    info ~taken:true target
+    let target =
+      Int64.to_int (Cell.get regs (rb lsl 3)) land addr_mask land lnot 3
+    in
+    Cell.set regs (wr_off ra) (Int64.of_int (pc + 4));
+    taken_to pc insn target
   | Call_pal f -> (
+    let arg0 = Cell.get regs (Reg.arg 0 lsl 3) in
     match f with
-    | _ when f = pal_halt -> Halted (Int64.to_int (get t Reg.v0) land 0xff)
+    | _ when f = pal_halt ->
+      Halted (Int64.to_int (Cell.get regs (Reg.v0 lsl 3)) land 0xff)
     | _ when f = pal_putc ->
-      Buffer.add_char t.out (Char.chr (Int64.to_int (get t (Reg.arg 0)) land 0xff));
-      info seq
+      Buffer.add_char t.out (Char.chr (Int64.to_int arg0 land 0xff));
+      fall_through pc insn
     | _ when f = pal_putint ->
-      Buffer.add_string t.out (Int64.to_string (get t (Reg.arg 0)));
+      Buffer.add_string t.out (Int64.to_string arg0);
       Buffer.add_char t.out '\n';
-      info seq
+      fall_through pc insn
     | _ -> Trapped (Illegal { pc }))
   | Lta _ | Push_dras _ | Ret_dras _ | Call_xlate _ | Call_xlate_cond _
   | Set_vbase _ ->
@@ -166,15 +198,15 @@ let exec_insn t pc (insn : Insn.t) : step_result =
 
 (* Execute one instruction at the current pc, advancing the state. *)
 let step t : step_result =
-  match fetch t t.pc with
-  | None -> Trapped (Illegal { pc = t.pc })
-  | Some insn -> (
-    match exec_insn t t.pc insn with
+  let pc = t.pc in
+  if not (in_text t pc) then Trapped (Illegal { pc })
+  else
+    match exec_insn t pc t.code.((pc - t.text_base) lsr 2) with
     | Step i as r ->
       t.icount <- t.icount + 1;
       t.pc <- i.next_pc;
       r
-    | r -> r)
+    | r -> r
 
 type outcome = Exit of int | Fault of trap | Out_of_fuel
 
@@ -215,7 +247,7 @@ let reg_checksum t =
   let h = ref 0xcbf29ce484222325L in
   for r = 0 to 30 do
     if r <> Reg.at && r <> Reg.gp then begin
-      h := Int64.logxor !h t.regs.(r);
+      h := Int64.logxor !h (Cell.get t.regs (r lsl 3));
       h := Int64.mul !h 0x100000001b3L
     end
   done;

@@ -1,5 +1,6 @@
 module Memory = Machine.Memory
 module Vec = Machine.Vec
+module Cell = Machine.Cell
 
 (* Functional execution engines for translated code, written once for both
    I-ISAs.
@@ -16,7 +17,7 @@ module Vec = Machine.Vec
    - the {e threaded-code} engine (default when no timing sink is
      attached): every cache slot is compiled once into a specialized OCaml
      closure, with operand reads, the destination write and the ALU
-     operation resolved to direct array accesses at compile time, and
+     operation resolved to register cells at compile time, and
      [run] is a tight [(Array.unsafe_get ops slot) t] trampoline;
    - the {e instrumented} engine: a per-slot variant match that streams one
      {!Machine.Ev.t} per committed instruction into the timing sink. It is
@@ -98,32 +99,42 @@ let ret_exit exit_id = -(exit_id + 3)
 
 exception Unaligned of int (* address *)
 
-(* Guest-memory accessors by access width in bytes. Only 4-byte loads
-   sign-extend ([signed]); narrower loads zero-extend. The returned
-   functions are closed, so selecting one allocates nothing. *)
-let load_fn ~bytes ~signed : Memory.t -> int -> int64 =
+(* Guest-memory moves between memory and a register cell, by access width
+   in bytes. Only 4-byte loads sign-extend ([signed]); narrower loads
+   zero-extend. The returned functions are closed, so selecting one
+   allocates nothing, and the value never leaves a cell, so running one
+   allocates nothing either. *)
+let load_into ~bytes ~signed : Memory.t -> int -> Cell.t -> int -> unit =
   match bytes with
-  | 8 -> Memory.get_i64
+  | 8 -> Memory.get_i64_into
   | 4 when signed ->
-    fun m a ->
-      Int64.of_int32 (Int64.to_int32 (Int64.of_int (Memory.get_u32 m a)))
-  | 4 -> fun m a -> Int64.of_int (Memory.get_u32 m a)
-  | 2 -> fun m a -> Int64.of_int (Memory.get_u16 m a)
-  | _ -> fun m a -> Int64.of_int (Memory.get_u8 m a)
+    fun m a c o ->
+      Cell.set c o (Int64.of_int32 (Int32.of_int (Memory.get_u32 m a)))
+  | 4 -> fun m a c o -> Cell.set c o (Int64.of_int (Memory.get_u32 m a))
+  | 2 -> fun m a c o -> Cell.set c o (Int64.of_int (Memory.get_u16 m a))
+  | _ -> fun m a c o -> Cell.set c o (Int64.of_int (Memory.get_u8 m a))
 
-let store_fn ~bytes : Memory.t -> int -> int64 -> unit =
+let store_from ~bytes : Memory.t -> int -> Cell.t -> int -> unit =
   match bytes with
-  | 8 -> Memory.set_i64
+  | 8 -> Memory.set_i64_from
   | 4 ->
-    fun m a v -> Memory.set_u32 m a (Int64.to_int (Int64.logand v 0xffffffffL))
-  | 2 -> fun m a v -> Memory.set_u16 m a (Int64.to_int (Int64.logand v 0xffffL))
-  | _ -> fun m a v -> Memory.set_u8 m a (Int64.to_int (Int64.logand v 0xffL))
+    fun m a c o ->
+      Memory.set_u32 m a (Int64.to_int (Cell.get c o) land 0xffffffff)
+  | 2 ->
+    fun m a c o -> Memory.set_u16 m a (Int64.to_int (Cell.get c o) land 0xffff)
+  | _ ->
+    fun m a c o -> Memory.set_u8 m a (Int64.to_int (Cell.get c o) land 0xff)
+
+(* Effective address of an access whose base register is the cell at
+   [off] in [file]. *)
+let ea_of_cell file off disp =
+  (Int64.to_int (Cell.get file off) + disp) land Alpha.Interp.addr_mask
 
 (* Instrumented step: effective address of an access, recorded for the
    event and checked for alignment (compiled ops test
    [addr land (bytes - 1)] themselves and return [ret_fault]). *)
-let ea_checked t ~bytes base disp =
-  let addr = (Int64.to_int base + disp) land Alpha.Interp.addr_mask in
+let ea_checked t ~bytes file off disp =
+  let addr = ea_of_cell file off disp in
   t.ea <- addr;
   if addr land (bytes - 1) <> 0 then raise (Unaligned addr);
   addr
@@ -185,17 +196,14 @@ let push_dras t (chaining : Config.chaining) ~v_ret ~i_ret =
 
 (* ---------- closure shapes shared by both slot compilers ---------- *)
 
-(* Compile-time operand location: after r31 and bounds resolution every
-   operand is a constant or one (array, index) cell of a register file, so
-   the closures built from it touch no variants. *)
-type loc = L_arr of int64 array * int | L_const of int64
+(* Compile-time operand location: one register cell, [off] bytes into
+   [file]. A read of r31 resolves to its never-written zero cell, a write
+   to r31 to the interpreter's discard cell, and a constant to a constant
+   cell of its own, so every operand is read and written the same way and
+   the closures built from locs touch no variants and allocate nothing. *)
+type loc = { file : Cell.t; off : int }
 
-let loc_fn : loc -> unit -> int64 = function
-  | L_arr (x, i) -> fun () -> Array.unsafe_get x i
-  | L_const v -> fun () -> v
-
-let ea_of_cell x i disp =
-  (Int64.to_int (Array.unsafe_get x i) + disp) land Alpha.Interp.addr_mask
+let const v = { file = Cell.const v; off = 0 }
 
 (* Direct branch; the target's entry status is static, so its fragment is
    resolved at compile time ([entry]). *)
@@ -207,103 +215,79 @@ let br_op entry target : _ op =
       target
   | None -> fun _ -> target
 
-let bc_op entry (c : int64 -> bool) v ~target ~next : _ op =
-  match (entry, v) with
-  | Some f, L_arr (x, i) ->
+let bc_op entry cond (v : loc) ~target ~next : _ op =
+  let c = Alpha.Insn.cond_cell cond and x = v.file and i = v.off in
+  match entry with
+  | Some f ->
     fun t ->
-      if c (Array.unsafe_get x i) then begin
+      if c x i then begin
         enter_fragment t f;
         target
       end
       else next
-  | Some f, L_const cv ->
-    let tk = c cv in
-    fun t ->
-      if tk then begin
-        enter_fragment t f;
-        target
-      end
-      else next
-  | None, L_arr (x, i) ->
-    fun _ -> if c (Array.unsafe_get x i) then target else next
-  | None, L_const cv -> if c cv then fun _ -> target else fun _ -> next
+  | None -> fun _ -> if c x i then target else next
 
-let push_dras_op (chaining : Config.chaining) (set : int64 -> unit) ~v_ret
-    ~i_ret ~next : _ op =
-  let vr = Int64.of_int v_ret in
+(* Register-indirect jump to the slot held in [v]. *)
+let jump_op (v : loc) : _ op =
+  let x = v.file and i = v.off in
+  fun t -> jump t (Int64.to_int (Cell.get x i))
+
+let ret_dras_op (v : loc) ~next : _ op =
+  let x = v.file and i = v.off in
+  fun t -> ret_dras t ~v_actual:(Int64.to_int (Cell.get x i)) ~next
+
+(* Register move (or constant materialization) from [src] to [dst]. *)
+let copy_op ~(src : loc) ~(dst : loc) ~next : _ op =
+  let xs = src.file and is = src.off and xd = dst.file and id = dst.off in
+  fun _ ->
+    Cell.set xd id (Cell.get xs is);
+    next
+
+(* The push's I-address option is built here, once, so executing the push
+   allocates nothing. *)
+let push_dras_op (chaining : Config.chaining) (dst : loc) ~v_ret ~i_ret ~next
+    : _ op =
+  let vr = Int64.of_int v_ret and x = dst.file and i = dst.off in
   match chaining with
   | Sw_pred_ras ->
     let i_addr = dras_i_addr i_ret in
     fun t ->
-      set vr;
+      Cell.set x i vr;
       Machine.Dual_ras.push t.dras ~v_addr:v_ret ~i_addr;
       next
   | No_pred | Sw_pred_no_ras ->
     fun _ ->
-      set vr;
+      Cell.set x i vr;
       next
 
-(* Load through a destination-write closure: the backends' cold shapes
-   (constant base, discarded value); their hot shapes write the
-   destination cell directly. Address faults must surface either way. *)
-let load_op mem ~bytes ~signed ~base ~disp ~next (w : int64 -> unit) : _ op =
-  let ld = load_fn ~bytes ~signed and amask = bytes - 1 in
-  match base with
-  | L_arr (xb, ib) ->
-    fun _ ->
-      let addr = ea_of_cell xb ib disp in
-      if addr land amask <> 0 then ret_fault
-      else (
-        match ld mem addr with
-        | v ->
-          w v;
-          next
-        | exception Memory.Fault _ -> ret_fault)
-  | L_const cb ->
-    let addr = (Int64.to_int cb + disp) land Alpha.Interp.addr_mask in
-    if addr land amask <> 0 then fun _ -> ret_fault
+(* Load into one cell. Address faults surface as [ret_fault]. *)
+let load_op mem ~bytes ~signed ~(base : loc) ~disp ~next (dst : loc) : _ op =
+  let ld = load_into ~bytes ~signed and amask = bytes - 1 in
+  let xb = base.file and ib = base.off and xd = dst.file and id = dst.off in
+  fun _ ->
+    let addr = ea_of_cell xb ib disp in
+    if addr land amask <> 0 then ret_fault
     else
-      fun _ ->
-        (match ld mem addr with
-        | v ->
-          w v;
-          next
-        | exception Memory.Fault _ -> ret_fault)
+      match ld mem addr xd id with
+      | () -> next
+      | exception Memory.Fault _ -> ret_fault
 
-let store_op mem ~bytes ~value ~base ~disp ~next : _ op =
-  let st = store_fn ~bytes and amask = bytes - 1 in
-  match (value, base) with
-  | L_arr (xv, iv), L_arr (xb, ib) ->
-    fun _ ->
-      let addr = ea_of_cell xb ib disp in
-      if addr land amask <> 0 then ret_fault
-      else (
-        match st mem addr (Array.unsafe_get xv iv) with
-        | () -> next
-        | exception Memory.Fault _ -> ret_fault)
-  | L_const cv, L_arr (xb, ib) ->
-    fun _ ->
-      let addr = ea_of_cell xb ib disp in
-      if addr land amask <> 0 then ret_fault
-      else (
-        match st mem addr cv with
-        | () -> next
-        | exception Memory.Fault _ -> ret_fault)
-  | value, L_const cb ->
-    let gv = loc_fn value in
-    let addr = (Int64.to_int cb + disp) land Alpha.Interp.addr_mask in
-    if addr land amask <> 0 then fun _ -> ret_fault
+let store_op mem ~bytes ~(value : loc) ~(base : loc) ~disp ~next : _ op =
+  let st = store_from ~bytes and amask = bytes - 1 in
+  let xv = value.file and iv = value.off and xb = base.file and ib = base.off in
+  fun _ ->
+    let addr = ea_of_cell xb ib disp in
+    if addr land amask <> 0 then ret_fault
     else
-      fun _ ->
-        (match st mem addr (gv ()) with
-        | () -> next
-        | exception Memory.Fault _ -> ret_fault)
+      match st mem addr xv iv with
+      | () -> next
+      | exception Memory.Fault _ -> ret_fault
 
 (* Conditional call-translator exit. *)
-let exit_cond_op (c : int64 -> bool) (gv : unit -> int64) ~exit_id ~next :
-    _ op =
+let exit_cond_op cond (v : loc) ~exit_id ~next : _ op =
+  let c = Alpha.Insn.cond_cell cond and x = v.file and i = v.off in
   let code = ret_exit exit_id in
-  fun _ -> if c (gv ()) then code else next
+  fun _ -> if c x i then code else next
 
 (* Telemetry (one VM owns one engine, so the registry aggregates whichever
    backend ran). *)

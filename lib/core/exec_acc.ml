@@ -1,4 +1,5 @@
 module Memory = Machine.Memory
+module Cell = Machine.Cell
 module I = Accisa.Insn
 
 (* The accumulator-ISA backend of {!Exec}: accumulators, their predicate
@@ -8,108 +9,119 @@ module I = Accisa.Insn
    register file. *)
 
 type regs = {
-  scratch : int64 array; (* VM registers 32..63 *)
-  accs : int64 array;
+  scratch : Cell.t; (* VM registers 32..63 *)
+  accs : Cell.t;
   preds : bool array; (* conditional-move predicate flag per accumulator *)
+  tmp : Cell.t; (* instrumented step: staged immediates and results *)
 }
+
+let n_accs = 8
 
 type engine = (Translate.ctx, regs) Exec.t
 
-let get_g (t : engine) g =
-  if g < 32 then Alpha.Interp.get t.interp g else t.regs.scratch.(g - 32)
+(* ---------- register cells ----------
 
-let set_g (t : engine) g v =
-  if g < 32 then Alpha.Interp.set t.interp g v
-  else t.regs.scratch.(g - 32) <- v
+   GPRs 0..31 are the interpreter's architected cells (r31 reads its zero
+   cell and writes the discard cell), 32..63 the engine's scratch cells.
+   Indices are validated here, when a register is resolved to its cell, so
+   the cell accesses after it can be unchecked. The file and the offset
+   are separate functions so the instrumented step resolves a register
+   without allocating a {!Exec.loc}. *)
 
-let src_val (t : engine) : I.src -> int64 = function
-  | Sacc a -> t.regs.accs.(a)
-  | Sgpr g -> get_g t g
-  | Simm v -> v
+let gpr_file (t : engine) g =
+  if g < 0 || g > 63 then invalid_arg "exec_acc: GPR out of range";
+  if g < 32 then t.interp.regs else t.regs.scratch
 
-let write_dst (t : engine) (d : I.dst) v =
+let gpr_off g = if g < 32 then g lsl 3 else (g - 32) lsl 3
+let gpr_woff g = if g < 32 then Alpha.Interp.wr_off g else (g - 32) lsl 3
+
+let check_acc a =
+  if a < 0 || a >= n_accs then invalid_arg "exec_acc: accumulator out of range"
+
+let acc_off a =
+  check_acc a;
+  a lsl 3
+
+let gpr_loc t g : Exec.loc = { file = gpr_file t g; off = gpr_off g }
+let gpr_wloc t g : Exec.loc = { file = gpr_file t g; off = gpr_woff g }
+
+let src_loc (t : engine) : I.src -> Exec.loc = function
+  | Sacc a -> { file = t.regs.accs; off = acc_off a }
+  | Sgpr g -> gpr_loc t g
+  | Simm v -> Exec.const v
+
+(* Instrumented step: copy an operand's value into [tmp] cell [k]. *)
+let stage (t : engine) k (s : I.src) =
+  let tmp = t.regs.tmp and o = k lsl 3 in
+  match s with
+  | Sacc a -> Cell.set tmp o (Cell.get t.regs.accs (acc_off a))
+  | Sgpr g -> Cell.set tmp o (Cell.get (gpr_file t g) (gpr_off g))
+  | Simm v -> Cell.set tmp o v
+
+(* [tmp] cell the instrumented step computes a result into. *)
+let res_off = 2 lsl 3
+
+(* Instrumented step: copy the cell at [off] in [file] to a destination. *)
+let write_dst (t : engine) (d : I.dst) file off =
+  let v = Cell.get file off in
   if d.dacc >= 0 then begin
-    t.regs.accs.(d.dacc) <- v;
+    Cell.set t.regs.accs (acc_off d.dacc) v;
     t.regs.preds.(d.dacc) <- false
   end;
-  match d.gdst with Some g -> set_g t g v | None -> ()
+  match d.gdst with
+  | Some g -> Cell.set (gpr_file t g) (gpr_woff g) v
+  | None -> ()
+
+(* Write an accumulator back to architected register [r]. *)
+let acc_to_arch (t : engine) (a, r) =
+  if r < 0 || r > 31 then invalid_arg "exec_acc: PEI map register out of range";
+  Cell.set t.interp.regs (Alpha.Interp.wr_off r)
+    (Cell.get t.regs.accs (acc_off a))
 
 (* Apply the PEI-table accumulator map: architected values still living only
    in accumulators are written back to the register file. *)
 let apply_pei_map (t : engine) slot =
   match Tcache.Acc.pei_at t.ctx.tc slot with
   | Some pei ->
-    Array.iter
-      (fun (a, r) -> Alpha.Interp.set t.interp r t.regs.accs.(a))
-      pei.Tcache.acc_map;
+    Array.iter (acc_to_arch t) pei.Tcache.acc_map;
     Some pei.pei_v_pc
   | None -> None
 
 (* ---------- threaded-code engine: slot compilation ---------- *)
 
-(* Compile-time destination shapes (operands are {!Exec.loc}s): every
-   destination is one of four store shapes, so the specialized closures
-   built from them touch no variants and allocate nothing at run time. *)
-type wshape =
-  | W_acc of int (* accumulator only *)
-  | W_acc_gpr of int * int64 array * int (* accumulator + embedded GPR *)
-  | W_gpr of int64 array * int (* GPR only *)
-  | W_discard (* r31 or no destination at all *)
-
-let src_loc (t : engine) : I.src -> Exec.loc = function
-  | Sacc a ->
-    if a < 0 || a >= Array.length t.regs.accs then
-      invalid_arg "exec_acc: accumulator out of range";
-    L_arr (t.regs.accs, a)
-  | Sgpr g ->
-    if g < 0 || g > 63 then invalid_arg "exec_acc: GPR out of range";
-    if g = Alpha.Reg.zero then L_const 0L
-    else if g < 32 then L_arr (t.interp.regs, g)
-    else L_arr (t.regs.scratch, g - 32)
-  | Simm v -> L_const v
-
-(* GPR write cell; [None] when the write is architecturally discarded. *)
-let gpr_loc (t : engine) g =
-  if g < 0 || g > 63 then invalid_arg "exec_acc: GPR out of range";
-  if g = Alpha.Reg.zero then None
-  else if g < 32 then Some (t.interp.regs, g)
-  else Some (t.regs.scratch, g - 32)
+(* Compile-time destination shapes: an accumulator (its predicate flag is
+   cleared, and the value is copied to its embedded GPR, or to the discard
+   cell when there is none), or a GPR alone (the discard cell when the
+   write is architecturally dropped or there is no destination at all). *)
+type wshape = W_acc of int * Exec.loc | W_gpr of Exec.loc
 
 let dst_shape (t : engine) (d : I.dst) =
-  let acc = d.dacc in
-  let gpr = Option.bind d.gdst (gpr_loc t) in
-  if acc >= 0 then begin
-    if acc >= Array.length t.regs.accs then
-      invalid_arg "exec_acc: accumulator out of range";
-    match gpr with
-    | Some (x, i) -> W_acc_gpr (acc, x, i)
-    | None -> W_acc acc
+  let gpr =
+    match d.gdst with
+    | Some g -> gpr_wloc t g
+    | None -> { file = t.interp.regs; off = Alpha.Interp.discard_cell lsl 3 }
+  in
+  if d.dacc >= 0 then begin
+    check_acc d.dacc;
+    W_acc (d.dacc, gpr)
   end
-  else match gpr with Some (x, i) -> W_gpr (x, i) | None -> W_discard
+  else W_gpr gpr
 
-(* Closure forms of the shapes, for the generic (cold-ish) arms. *)
-let src_fn t s = Exec.loc_fn (src_loc t s)
-
-let gpr_set_fn t g : (int64 -> unit) option =
-  match gpr_loc t g with
-  | Some (x, i) -> Some (fun v -> Array.unsafe_set x i v)
-  | None -> None
-
-let dst_fn (t : engine) (d : I.dst) : int64 -> unit =
+(* Destination as a closure copying a cell into it, for the colder
+   instructions; the hot ALU and load shapes inline it. *)
+let dst_from (t : engine) (d : I.dst) : Cell.t -> int -> unit =
+  let accs = t.regs.accs and preds = t.regs.preds in
   match dst_shape t d with
-  | W_acc acc ->
-    let accs = t.regs.accs and preds = t.regs.preds in
-    fun v ->
-      Array.unsafe_set accs acc v;
-      Array.unsafe_set preds acc false
-  | W_acc_gpr (acc, x, i) ->
-    let accs = t.regs.accs and preds = t.regs.preds in
-    fun v ->
-      Array.unsafe_set accs acc v;
+  | W_acc (acc, g) ->
+    let od = acc lsl 3 and xg = g.file and og = g.off in
+    fun x i ->
+      let v = Cell.get x i in
+      Cell.set accs od v;
       Array.unsafe_set preds acc false;
-      Array.unsafe_set x i v
-  | W_gpr (x, i) -> fun v -> Array.unsafe_set x i v
-  | W_discard -> fun _ -> ()
+      Cell.set xg og v
+  | W_gpr g ->
+    let xg = g.file and og = g.off in
+    fun x i -> Cell.set xg og (Cell.get x i)
 
 let compile (t : engine) s : (Translate.ctx, regs) Exec.op =
   let tc = t.ctx.tc in
@@ -118,206 +130,95 @@ let compile (t : engine) s : (Translate.ctx, regs) Exec.op =
   let check_static =
     Exec.check_static ~n_slots:(Tcache.Acc.n_slots tc) ~slot:s
   in
+  let accs = t.regs.accs and preds = t.regs.preds in
   match insn with
     | I.Alu { op; d; a; b } -> (
-      let f = Alpha.Insn.eval_fn op in
-      let accs = t.regs.accs and preds = t.regs.preds in
-      (* fully flattened: one specialized closure per (destination shape x
-         operand shapes); the hot path is a handful of unchecked array
-         accesses around the pre-matched operator *)
-      match (dst_shape t d, src_loc t a, src_loc t b) with
-      | W_acc acc, L_arr (xa, ia), L_arr (xb, ib) ->
+      let f = Alpha.Insn.eval_into op in
+      let a = src_loc t a and b = src_loc t b in
+      let xa = a.file and oa = a.off and xb = b.file and ob = b.off in
+      match dst_shape t d with
+      | W_acc (acc, g) ->
+        let od = acc lsl 3 and xg = g.file and og = g.off in
         fun _ ->
-          Array.unsafe_set accs acc
-            (f (Array.unsafe_get xa ia) (Array.unsafe_get xb ib));
+          f accs od xa oa xb ob;
           Array.unsafe_set preds acc false;
+          Cell.set xg og (Cell.get accs od);
           next
-      | W_acc acc, L_arr (xa, ia), L_const cb ->
+      | W_gpr g ->
+        let xg = g.file and og = g.off in
         fun _ ->
-          Array.unsafe_set accs acc (f (Array.unsafe_get xa ia) cb);
-          Array.unsafe_set preds acc false;
-          next
-      | W_acc acc, L_const ca, L_arr (xb, ib) ->
-        fun _ ->
-          Array.unsafe_set accs acc (f ca (Array.unsafe_get xb ib));
-          Array.unsafe_set preds acc false;
-          next
-      | W_acc acc, L_const ca, L_const cb ->
-        let v = f ca cb in
-        fun _ ->
-          Array.unsafe_set accs acc v;
-          Array.unsafe_set preds acc false;
-          next
-      | W_acc_gpr (acc, xd, id_), L_arr (xa, ia), L_arr (xb, ib) ->
-        fun _ ->
-          let v = f (Array.unsafe_get xa ia) (Array.unsafe_get xb ib) in
-          Array.unsafe_set accs acc v;
-          Array.unsafe_set preds acc false;
-          Array.unsafe_set xd id_ v;
-          next
-      | W_acc_gpr (acc, xd, id_), L_arr (xa, ia), L_const cb ->
-        fun _ ->
-          let v = f (Array.unsafe_get xa ia) cb in
-          Array.unsafe_set accs acc v;
-          Array.unsafe_set preds acc false;
-          Array.unsafe_set xd id_ v;
-          next
-      | W_acc_gpr (acc, xd, id_), L_const ca, L_arr (xb, ib) ->
-        fun _ ->
-          let v = f ca (Array.unsafe_get xb ib) in
-          Array.unsafe_set accs acc v;
-          Array.unsafe_set preds acc false;
-          Array.unsafe_set xd id_ v;
-          next
-      | W_acc_gpr (acc, xd, id_), L_const ca, L_const cb ->
-        let v = f ca cb in
-        fun _ ->
-          Array.unsafe_set accs acc v;
-          Array.unsafe_set preds acc false;
-          Array.unsafe_set xd id_ v;
-          next
-      | W_gpr (xd, id_), L_arr (xa, ia), L_arr (xb, ib) ->
-        fun _ ->
-          Array.unsafe_set xd id_
-            (f (Array.unsafe_get xa ia) (Array.unsafe_get xb ib));
-          next
-      | W_gpr (xd, id_), L_arr (xa, ia), L_const cb ->
-        fun _ ->
-          Array.unsafe_set xd id_ (f (Array.unsafe_get xa ia) cb);
-          next
-      | W_gpr (xd, id_), L_const ca, L_arr (xb, ib) ->
-        fun _ ->
-          Array.unsafe_set xd id_ (f ca (Array.unsafe_get xb ib));
-          next
-      | W_gpr (xd, id_), L_const ca, L_const cb ->
-        let v = f ca cb in
-        fun _ ->
-          Array.unsafe_set xd id_ v;
-          next
-      | W_discard, _, _ -> fun _ -> next)
+          f xg og xa oa xb ob;
+          next)
     | I.Cmov_test { cond; d; cv; old } ->
-      let c = Alpha.Insn.cond_fn cond in
-      let gcv = src_fn t cv and gold = src_fn t old in
-      let w = dst_fn t d in
-      let da = d.dacc and preds = t.regs.preds in
-      if da < 0 || da >= Array.length preds then
+      let da = d.dacc in
+      if da < 0 || da >= n_accs then
         invalid_arg "exec_acc: cmov-test without an accumulator destination";
+      let c = Alpha.Insn.cond_cell cond and w = dst_from t d in
+      let cv = src_loc t cv and old = src_loc t old in
+      let xc = cv.file and oc = cv.off and xo = old.file and oo = old.off in
       fun _ ->
-        let p = c (gcv ()) in
-        w (gold ());
+        let p = c xc oc in
+        w xo oo;
         Array.unsafe_set preds da p;
         next
     | I.Cmov_sel { d; p; nv } ->
       let pa = match p with I.Sacc a -> a | _ -> assert false in
-      if pa < 0 || pa >= Array.length t.regs.preds then
-        invalid_arg "exec_acc: cmov-sel predicate out of range";
-      let gnv = src_fn t nv in
-      let w = dst_fn t d in
-      let preds = t.regs.preds and accs = t.regs.accs in
+      let op = acc_off pa and w = dst_from t d in
+      let nv = src_loc t nv in
+      let xn = nv.file and on = nv.off in
       fun _ ->
-        w
-          (if Array.unsafe_get preds pa then gnv ()
-           else Array.unsafe_get accs pa);
+        if Array.unsafe_get preds pa then w xn on else w accs op;
         next
     | I.Load { width; signed; d; base; disp } -> (
-      let mem = t.interp.mem in
-      let bytes = I.bytes_of_width width in
-      let amask = bytes - 1 in
-      let ld = Exec.load_fn ~bytes ~signed in
-      let accs = t.regs.accs and preds = t.regs.preds in
-      match (dst_shape t d, src_loc t base) with
-      | W_acc acc, L_arr (xb, ib) ->
+      let mem = t.interp.mem and bytes = I.bytes_of_width width in
+      let base = src_loc t base in
+      match dst_shape t d with
+      | W_gpr g -> Exec.load_op mem ~bytes ~signed ~base ~disp ~next g
+      | W_acc (acc, g) ->
+        let ld = Exec.load_into ~bytes ~signed and amask = bytes - 1 in
+        let xb = base.file and ib = base.off in
+        let od = acc lsl 3 and xg = g.file and og = g.off in
         fun _ ->
-          let addr =
-            (Int64.to_int (Array.unsafe_get xb ib) + disp)
-            land Alpha.Interp.addr_mask
-          in
+          let addr = Exec.ea_of_cell xb ib disp in
           if addr land amask <> 0 then Exec.ret_fault
           else (
-            match ld mem addr with
-            | v ->
-              Array.unsafe_set accs acc v;
+            match ld mem addr accs od with
+            | () ->
               Array.unsafe_set preds acc false;
+              Cell.set xg og (Cell.get accs od);
               next
-            | exception Memory.Fault _ -> Exec.ret_fault)
-      | W_acc_gpr (acc, xd, id_), L_arr (xb, ib) ->
-        fun _ ->
-          let addr =
-            (Int64.to_int (Array.unsafe_get xb ib) + disp)
-            land Alpha.Interp.addr_mask
-          in
-          if addr land amask <> 0 then Exec.ret_fault
-          else (
-            match ld mem addr with
-            | v ->
-              Array.unsafe_set accs acc v;
-              Array.unsafe_set preds acc false;
-              Array.unsafe_set xd id_ v;
-              next
-            | exception Memory.Fault _ -> Exec.ret_fault)
-      | W_gpr (xd, id_), L_arr (xb, ib) ->
-        fun _ ->
-          let addr =
-            (Int64.to_int (Array.unsafe_get xb ib) + disp)
-            land Alpha.Interp.addr_mask
-          in
-          if addr land amask <> 0 then Exec.ret_fault
-          else (
-            match ld mem addr with
-            | v ->
-              Array.unsafe_set xd id_ v;
-              next
-            | exception Memory.Fault _ -> Exec.ret_fault)
-      | _, base ->
-        (* constant base or discarded value *)
-        Exec.load_op mem ~bytes ~signed ~base ~disp ~next (dst_fn t d))
+            | exception Memory.Fault _ -> Exec.ret_fault))
     | I.Store { width; value; base; disp } ->
       Exec.store_op t.interp.mem ~bytes:(I.bytes_of_width width)
         ~value:(src_loc t value) ~base:(src_loc t base) ~disp ~next
     | I.Copy_to_gpr { g; a } ->
-      if a < 0 || a >= Array.length t.regs.accs then
-        invalid_arg "exec_acc: accumulator out of range";
-      let accs = t.regs.accs in
-      (match gpr_set_fn t g with
-      | Some set ->
-        fun _ ->
-          set (Array.unsafe_get accs a);
-          next
-      | None -> fun _ -> next)
+      Exec.copy_op ~src:(src_loc t (I.Sacc a)) ~dst:(gpr_wloc t g) ~next
     | I.Copy_from_gpr { d; g } ->
-      let gr = src_fn t (I.Sgpr g) in
-      let w = dst_fn t d in
+      let w = dst_from t d and src = gpr_loc t g in
+      let xs = src.file and os = src.off in
       fun _ ->
-        w (gr ());
+        w xs os;
+        next
+    | I.Lta { d; value } ->
+      let w = dst_from t d and c = Cell.const value in
+      fun _ ->
+        w c 0;
         next
     | I.Br { target } ->
       check_static target;
       Exec.br_op (Tcache.Acc.frag_of_entry tc target) target
     | I.Bc { cond; v; target } ->
       check_static target;
-      Exec.bc_op
-        (Tcache.Acc.frag_of_entry tc target)
-        (Alpha.Insn.cond_fn cond) (src_loc t v) ~target ~next
-    | I.Jmp_ind { v } ->
-      let gv = src_fn t v in
-      fun t -> Exec.jump t (Int64.to_int (gv ()))
-    | I.Lta { d; value } ->
-      let w = dst_fn t d in
-      fun _ ->
-        w value;
-        next
+      Exec.bc_op (Tcache.Acc.frag_of_entry tc target) cond (src_loc t v)
+        ~target ~next
+    | I.Jmp_ind { v } -> Exec.jump_op (src_loc t v)
     | I.Set_vbase { vaddr } ->
       fun t ->
         t.vbase <- vaddr;
         next
     | I.Push_dras { g; v_ret; i_ret } ->
-      let set =
-        match gpr_set_fn t g with Some f -> f | None -> fun _ -> ()
-      in
-      Exec.push_dras_op t.ctx.cfg.chaining set ~v_ret ~i_ret ~next
-    | I.Ret_dras { v } ->
-      let gv = src_fn t v in
-      fun t -> Exec.ret_dras t ~v_actual:(Int64.to_int (gv ())) ~next
+      Exec.push_dras_op t.ctx.cfg.chaining (gpr_wloc t g) ~v_ret ~i_ret ~next
+    | I.Ret_dras { v } -> Exec.ret_dras_op (src_loc t v) ~next
     | I.Call_xlate { exit_id } -> (
       let code = Exec.ret_exit exit_id in
       (* architected values still in accumulators (PAL exits) *)
@@ -325,73 +226,95 @@ let compile (t : engine) s : (Translate.ctx, regs) Exec.op =
       | Some pei ->
         let map = pei.Tcache.acc_map in
         fun t ->
-          Array.iter
-            (fun (a, r) -> Alpha.Interp.set t.interp r t.regs.accs.(a))
-            map;
+          Array.iter (acc_to_arch t) map;
           code
       | None -> fun _ -> code)
     | I.Call_xlate_cond { cond; v; exit_id } ->
-      Exec.exit_cond_op (Alpha.Insn.cond_fn cond) (src_fn t v) ~exit_id ~next
+      Exec.exit_cond_op cond (src_loc t v) ~exit_id ~next
 
 (* ---------- instrumented engine: one slot ---------- *)
 
+(* Operands are staged into [tmp] cells 0 and 1 and results computed into
+   [tmp] cell 2 ([res_off]), so values move cell to cell, as in the
+   compiled ops, and no register value is boxed. *)
 let step (t : engine) s =
   let next = s + 1 in
+  let tmp = t.regs.tmp in
   match Tcache.Acc.get t.ctx.tc s with
   | I.Alu { op; d; a; b } ->
-    write_dst t d (Alpha.Insn.eval_op op (src_val t a) (src_val t b));
+    let f = Alpha.Insn.eval_into op in
+    stage t 0 a;
+    stage t 1 b;
+    f tmp res_off tmp 0 tmp 8;
+    write_dst t d tmp res_off;
     next
   | I.Cmov_test { cond; d; cv; old } ->
-    let p = Alpha.Insn.cond_true cond (src_val t cv) in
-    write_dst t d (src_val t old);
-    t.regs.preds.(d.dacc) <- p;
+    let c = Alpha.Insn.cond_cell cond in
+    stage t 0 cv;
+    stage t 1 old;
+    write_dst t d tmp 8;
+    t.regs.preds.(d.dacc) <- c tmp 0;
     next
   | I.Cmov_sel { d; p; nv } ->
     let pa = match p with I.Sacc a -> a | _ -> assert false in
-    write_dst t d
-      (if t.regs.preds.(pa) then src_val t nv else t.regs.accs.(pa));
+    if t.regs.preds.(pa) then begin
+      stage t 0 nv;
+      write_dst t d tmp 0
+    end
+    else write_dst t d t.regs.accs (acc_off pa);
     next
   | I.Load { width; signed; d; base; disp } ->
     let bytes = I.bytes_of_width width in
-    let addr = Exec.ea_checked t ~bytes (src_val t base) disp in
-    let ld = Exec.load_fn ~bytes ~signed in
-    write_dst t d (ld t.interp.mem addr);
+    stage t 0 base;
+    let addr = Exec.ea_checked t ~bytes tmp 0 disp in
+    let ld = Exec.load_into ~bytes ~signed in
+    ld t.interp.mem addr tmp res_off;
+    write_dst t d tmp res_off;
     next
   | I.Store { width; value; base; disp } ->
     let bytes = I.bytes_of_width width in
-    let addr = Exec.ea_checked t ~bytes (src_val t base) disp in
-    let st = Exec.store_fn ~bytes in
-    st t.interp.mem addr (src_val t value);
+    stage t 0 base;
+    stage t 1 value;
+    let addr = Exec.ea_checked t ~bytes tmp 0 disp in
+    let st = Exec.store_from ~bytes in
+    st t.interp.mem addr tmp 8;
     next
   | I.Copy_to_gpr { g; a } ->
-    set_g t g t.regs.accs.(a);
+    Cell.set (gpr_file t g) (gpr_woff g) (Cell.get t.regs.accs (acc_off a));
     next
   | I.Copy_from_gpr { d; g } ->
-    write_dst t d (get_g t g);
+    write_dst t d (gpr_file t g) (gpr_off g);
     next
   | I.Br { target } -> Exec.jump t target
   | I.Bc { cond; v; target } ->
-    if Alpha.Insn.cond_true cond (src_val t v) then Exec.jump t target
-    else next
-  | I.Jmp_ind { v } -> Exec.jump t (Int64.to_int (src_val t v))
+    let c = Alpha.Insn.cond_cell cond in
+    stage t 0 v;
+    if c tmp 0 then Exec.jump t target else next
+  | I.Jmp_ind { v } ->
+    stage t 0 v;
+    Exec.jump t (Int64.to_int (Cell.get tmp 0))
   | I.Lta { d; value } ->
-    write_dst t d value;
+    Cell.set tmp res_off value;
+    write_dst t d tmp res_off;
     next
   | I.Set_vbase { vaddr } ->
     t.vbase <- vaddr;
     next
   | I.Push_dras { g; v_ret; i_ret } ->
-    set_g t g (Int64.of_int v_ret);
+    Cell.set (gpr_file t g) (gpr_woff g) (Int64.of_int v_ret);
     Exec.push_dras t t.ctx.cfg.chaining ~v_ret ~i_ret;
     next
   | I.Ret_dras { v } ->
-    Exec.ret_dras t ~v_actual:(Int64.to_int (src_val t v)) ~next
+    stage t 0 v;
+    Exec.ret_dras t ~v_actual:(Int64.to_int (Cell.get tmp 0)) ~next
   | I.Call_xlate { exit_id } ->
     (* architected values still in accumulators (PAL exits) *)
     ignore (apply_pei_map t s);
     Exec.ret_exit exit_id
   | I.Call_xlate_cond { cond; v; exit_id } ->
-    if Alpha.Insn.cond_true cond (src_val t v) then begin
+    let c = Alpha.Insn.cond_cell cond in
+    stage t 0 v;
+    if c tmp 0 then begin
       t.taken <- true;
       Exec.ret_exit exit_id
     end
@@ -411,9 +334,10 @@ include Exec.Make (struct
 
   let regs () =
     {
-      scratch = Array.make 32 0L;
-      accs = Array.make 8 0L;
-      preds = Array.make 8 false;
+      scratch = Cell.create 32;
+      accs = Cell.create n_accs;
+      preds = Array.make n_accs false;
+      tmp = Cell.create 3;
     }
 
   let compile = compile
@@ -430,5 +354,7 @@ include Exec.Make (struct
 
   (* The dispatch argument register holds the dynamic target V-address
      when the dispatch code misses. *)
-  let dispatch_target t = Int64.to_int (get_g t Translate.vr_arg)
+  let dispatch_target t =
+    let g = Translate.vr_arg in
+    Int64.to_int (Cell.get (gpr_file t g) (gpr_off g))
 end)

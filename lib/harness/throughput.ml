@@ -28,6 +28,7 @@ type run_result = {
   interp_insns : int;
   superblocks : int;
   secs : float;
+  minor_words : float; (* words allocated by [Vm.run] *)
 }
 
 let default_fuel = 100_000_000
@@ -36,9 +37,11 @@ let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
   let prog = Workloads.program ~scale w in
   let cfg = { Core.Config.default with engine } in
   let vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc prog in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let outcome = Core.Vm.run ~fuel vm in
   let secs = Unix.gettimeofday () -. t0 in
+  let minor_words = Gc.minor_words () -. w0 in
   let outcome =
     match outcome with
     | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
@@ -60,11 +63,15 @@ let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
     interp_insns = vm.interp_insns;
     superblocks = vm.superblocks;
     secs;
+    minor_words;
   }
 
 (* V-ISA instructions architecturally retired by the run. *)
 let retired r = r.alpha + r.interp_insns
 let mips r = float_of_int (retired r) /. r.secs /. 1e6
+
+(* Minor-heap words allocated per retired V-ISA instruction, whole VM. *)
+let words_per_insn r = r.minor_words /. float_of_int (max 1 (retired r))
 
 (* Everything except wall-clock time must agree between the engines. *)
 let verify ~(matched : run_result) ~(threaded : run_result) =
@@ -100,6 +107,16 @@ type row = {
 }
 
 let speedup r = mips r.threaded /. mips r.matched
+
+(* The allocation gate's quantity: threaded-engine words per V-insn over
+   the whole sweep, total words over total instructions, so each workload
+   weighs in proportion to the work it does. *)
+let threaded_words_per_insn rows =
+  let words =
+    List.fold_left (fun a r -> a +. r.threaded.minor_words) 0.0 rows
+  in
+  let insns = List.fold_left (fun a r -> a + retired r.threaded) 0 rows in
+  words /. float_of_int (max 1 insns)
 
 (* Best-of-N wall clock; the simulations are deterministic, so state and
    statistics are identical across repeats and only timing varies. *)
@@ -146,19 +163,21 @@ let jobs_sweep ~jobs ?(scale = 1) ?(fuel = default_fuel) () =
 let render fmt rows =
   Format.fprintf fmt
     "Functional throughput (whole-VM V-ISA MIPS, translated execution)@.";
-  Format.fprintf fmt "%-12s %12s %12s %10s %10s  %s@." "workload" "matched"
-    "threaded" "speedup" "xlated%" "check";
+  Format.fprintf fmt "%-12s %12s %12s %10s %10s %10s  %s@." "workload"
+    "matched" "threaded" "speedup" "xlated%" "words/insn" "check";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-12s %12.2f %12.2f %9.2fx %9.1f%%  %s@." r.name
-        (mips r.matched) (mips r.threaded) (speedup r)
+      Format.fprintf fmt "%-12s %12.2f %12.2f %9.2fx %9.1f%% %10.3f  %s@."
+        r.name (mips r.matched) (mips r.threaded) (speedup r)
         (100.0 *. float_of_int r.threaded.alpha
         /. float_of_int (max 1 (retired r.threaded)))
+        (words_per_insn r.threaded)
         (if r.mismatches = [] then "ok"
          else String.concat "; " r.mismatches))
     rows;
   let gm = Runner.geomean (List.map speedup rows) in
-  Format.fprintf fmt "%-12s %12s %12s %9.2fx@." "geomean" "" "" gm;
+  Format.fprintf fmt "%-12s %12s %12s %9.2fx %10s %10.3f@." "geomean" "" "" gm
+    "" (threaded_words_per_insn rows);
   gm
 
 (* Baseline schema, version 2: same per-workload fields as /1 but carried
@@ -180,6 +199,7 @@ let json_of_row r =
       ("threaded_secs", J.Float r.threaded.secs);
       ("threaded_mips", J.Float (mips r.threaded));
       ("speedup", J.Float (speedup r));
+      ("threaded_words_per_insn", J.Float (words_per_insn r.threaded));
       ("verified", J.Bool (r.mismatches = [])) ]
 
 let to_json ~jobs ~scale ~fuel ~repeats rows jobs_rows =
@@ -190,6 +210,7 @@ let to_json ~jobs ~scale ~fuel ~repeats rows jobs_rows =
       ("repeats", J.Int repeats);
       ("workloads", J.List (List.map json_of_row rows));
       ("geomean_speedup", J.Float (Runner.geomean (List.map speedup rows)));
+      ("threaded_words_per_insn", J.Float (threaded_words_per_insn rows));
       ("jobs_sweep",
        J.List
          (List.map

@@ -9,16 +9,19 @@
    mismatch control falls through to chaining code that reaches the shared
    dispatch. *)
 
-(* [i_addr = None] records a call whose return point has no translation
+(* A pair lives in two parallel arrays, [v_addrs] and [i_addrs].
+   [i_addr = None] records a call whose return point has no translation
    (yet): the pair still occupies a stack slot so call/return nesting stays
    aligned, but a verifying pop cannot produce a target and reports a miss.
    (An earlier version stored a [-1] sentinel integer here and relied on
    every consumer filtering it out; the option makes the "no target" case
-   impossible to mistake for a live I-address.) *)
-type entry = { v_addr : int; i_addr : int option }
-
+   impossible to mistake for a live I-address.) Neither operation
+   allocates: [push] stores the option its caller built (translated code
+   builds it once, when the push is compiled) and a verified [pop_verify]
+   returns that same stored option. *)
 type t = {
-  buf : entry array;
+  v_addrs : int array;
+  i_addrs : int option array;
   mutable top : int;
   mutable depth : int;
   mutable pushes : int;
@@ -29,7 +32,8 @@ type t = {
 
 let create ?(entries = 8) () =
   {
-    buf = Array.make entries { v_addr = 0; i_addr = None };
+    v_addrs = Array.make entries 0;
+    i_addrs = Array.make entries None;
     top = 0;
     depth = 0;
     pushes = 0;
@@ -43,11 +47,13 @@ let clear t =
   t.depth <- 0
 
 let push t ~v_addr ~i_addr =
+  let n = Array.length t.v_addrs in
   t.pushes <- t.pushes + 1;
-  if t.depth = Array.length t.buf then t.overflows <- t.overflows + 1;
-  t.buf.(t.top) <- { v_addr; i_addr };
-  t.top <- (t.top + 1) mod Array.length t.buf;
-  t.depth <- min (t.depth + 1) (Array.length t.buf)
+  if t.depth = n then t.overflows <- t.overflows + 1;
+  t.v_addrs.(t.top) <- v_addr;
+  t.i_addrs.(t.top) <- i_addr;
+  t.top <- (t.top + 1) mod n;
+  t.depth <- min (t.depth + 1) n
 
 (* Pop and verify against the actual V-ISA return address held in the return
    register. Returns [Some i_addr] when the prediction verifies (the common
@@ -56,16 +62,16 @@ let push t ~v_addr ~i_addr =
    hit — a verified pair without an I-address still falls through to the
    dispatch, which is a miss as far as the hardware is concerned. *)
 let pop_verify t ~v_actual =
+  let n = Array.length t.v_addrs in
   t.pops <- t.pops + 1;
   if t.depth = 0 then None
   else begin
-    t.top <- (t.top + Array.length t.buf - 1) mod Array.length t.buf;
+    t.top <- (t.top + n - 1) mod n;
     t.depth <- t.depth - 1;
-    let e = t.buf.(t.top) in
-    match e.i_addr with
-    | Some i when e.v_addr = v_actual ->
+    match t.i_addrs.(t.top) with
+    | Some _ as i when t.v_addrs.(t.top) = v_actual ->
       t.hits <- t.hits + 1;
-      Some i
+      i
     | _ -> None
   end
 

@@ -7,13 +7,13 @@
     verifies the V-address against the architected return register, and on
     a match jumps straight to the popped I-address. *)
 
-type entry = { v_addr : int; i_addr : int option }
-(** [i_addr = None] records a call whose return point has no translated
-    target: the slot keeps call/return nesting aligned, but a verifying
-    pop cannot jump anywhere and is counted as a miss. *)
-
 type t = {
-  buf : entry array;
+  v_addrs : int array;  (** V-ISA return address of each pair *)
+  i_addrs : int option array;
+      (** I-ISA resume slot of each pair. [None] records a call whose
+          return point has no translated target: the slot keeps
+          call/return nesting aligned, but a verifying pop cannot jump
+          anywhere and is counted as a miss. *)
   mutable top : int;
   mutable depth : int;
   mutable pushes : int;
@@ -29,12 +29,15 @@ val create : ?entries:int -> unit -> t
 val clear : t -> unit
 
 val push : t -> v_addr:int -> i_addr:int option -> unit
-(** Push a pair; beyond capacity the oldest entry is overwritten. *)
+(** Push a pair; beyond capacity the oldest entry is overwritten. The
+    option is stored as given, so pushing a prebuilt one allocates
+    nothing. *)
 
 val pop_verify : t -> v_actual:int -> int option
 (** Pop and verify against the actual V-ISA return address. [Some i_addr]
     when the prediction verifies against a live target; [None] when the
     stack was empty, the pair is stale, or the pushed return point had no
-    translation (only the [Some] case counts as a hit). *)
+    translation (only the [Some] case counts as a hit). A hit returns the
+    option stored by {!push}, without allocating. *)
 
 val hit_rate : t -> float

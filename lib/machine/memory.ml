@@ -22,7 +22,14 @@ type t = {
      on to confine per-boundary memory comparison to written pages. *)
   mutable track_dirty : bool;
   dirty : (int, unit) Hashtbl.t;
+  (* Last-chunk cache: the most recently accessed chunk index and its
+     bytes, checked before the table. Chunks are only ever added, never
+     replaced or removed, so a cached pair can never go stale. *)
+  mutable last_c : int;
+  mutable last_b : Bytes.t;
 }
+
+let no_chunk = -1
 
 let create () =
   {
@@ -31,6 +38,8 @@ let create () =
     writes = 0;
     track_dirty = false;
     dirty = Hashtbl.create 16;
+    last_c = no_chunk;
+    last_b = Bytes.empty;
   }
 
 let copy t =
@@ -42,6 +51,9 @@ let copy t =
     writes = t.writes;
     track_dirty = t.track_dirty;
     dirty = Hashtbl.copy t.dirty;
+    (* a copy starts cold: the original's cached bytes are not the copy's *)
+    last_c = no_chunk;
+    last_b = Bytes.empty;
   }
 
 let set_dirty_tracking t on = t.track_dirty <- on
@@ -68,10 +80,18 @@ let map t ~addr ~len =
 
 let is_mapped t addr = Hashtbl.mem t.chunks (addr lsr chunk_bits)
 
+(* Allocation-free on every path but the fault: the cache hit is two loads,
+   and a miss uses [Hashtbl.find], which returns the bytes unwrapped. *)
 let chunk_of t addr =
-  match Hashtbl.find_opt t.chunks (addr lsr chunk_bits) with
-  | Some b -> b
-  | None -> raise (Fault addr)
+  let c = addr lsr chunk_bits in
+  if c = t.last_c then t.last_b
+  else
+    match Hashtbl.find t.chunks c with
+    | b ->
+      t.last_c <- c;
+      t.last_b <- b;
+      b
+    | exception Not_found -> raise (Fault addr)
 
 (* Single-byte accessors; multi-byte accessors decompose at chunk borders
    (rare) and use fast Bytes primitives within a chunk. *)
@@ -146,6 +166,30 @@ let set_i64 t addr v =
     set_u32 t addr (Int64.to_int (Int64.logand v 0xffffffffL));
     set_u32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical v 32))
   end
+
+(* 8-byte moves straight between guest memory and a register cell, so the
+   value is never boxed. A chunk is bytes too, so the cell primitives read
+   and write it; guest memory is little-endian, cells are in host order. *)
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let get_i64_into t addr c o =
+  if in_chunk addr 8 then begin
+    t.reads <- t.reads + 1;
+    let b = chunk_of t addr and i = addr land (chunk_size - 1) in
+    if Sys.big_endian then Cell.set c o (bswap64 (Cell.get b i))
+    else Cell.set c o (Cell.get b i)
+  end
+  else Cell.set c o (get_i64 t addr)
+
+let set_i64_from t addr c o =
+  if in_chunk addr 8 then begin
+    t.writes <- t.writes + 1;
+    mark t addr;
+    let b = chunk_of t addr and i = addr land (chunk_size - 1) in
+    if Sys.big_endian then Cell.set b i (bswap64 (Cell.get c o))
+    else Cell.set b i (Cell.get c o)
+  end
+  else set_i64 t addr (Cell.get c o)
 
 (* Zero a mapped range (used when the VM flushes its dispatch table). *)
 let fill_zero t ~addr ~len =

@@ -14,6 +14,8 @@ type t = {
   mutable writes : int;
   mutable track_dirty : bool;  (** when on, stores record their chunk *)
   dirty : (int, unit) Hashtbl.t;
+  mutable last_c : int;  (** last-chunk cache: chunk index, [-1] when cold *)
+  mutable last_b : Bytes.t;  (** last-chunk cache: that chunk's bytes *)
 }
 
 val chunk_bits : int
@@ -38,7 +40,8 @@ val chunk_bytes : t -> int -> Bytes.t option
 (** Backing bytes of a chunk by index, if mapped. Treat as read-only. *)
 
 val copy : t -> t
-(** Deep copy (used by tests to snapshot a memory image). *)
+(** Deep copy (used by tests to snapshot a memory image). The copy starts
+    with an empty last-chunk cache. *)
 
 val map : t -> addr:int -> len:int -> unit
 (** Map every chunk overlapping [addr, addr+len). Freshly mapped chunks are
@@ -56,6 +59,14 @@ val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
 (** Little-endian accessors of each width. Multi-byte accesses may straddle
     chunk boundaries. All raise {!Fault} on unmapped addresses. *)
+
+val get_i64_into : t -> int -> Cell.t -> int -> unit
+(** [get_i64_into m addr c off] loads 8 bytes into the register cell at
+    byte offset [off] of [c] without boxing them. *)
+
+val set_i64_from : t -> int -> Cell.t -> int -> unit
+(** [set_i64_from m addr c off] stores the register cell at byte offset
+    [off] of [c] as 8 bytes without boxing them. *)
 
 val fill_zero : t -> addr:int -> len:int -> unit
 (** Zero a mapped range (used when the VM flushes its dispatch table). *)

@@ -640,6 +640,67 @@ let test_flush_retranslates () =
   check Alcotest.bool "fragments re-formed" true
     (List.length (Tcache.Acc.fragments ctx.tc) > 0)
 
+(* A hot loop that writes r31 every way an instruction can: ALU, load,
+   address arithmetic, conditional move and a call's link register. *)
+let prog_r31_writes =
+  {|
+  .text
+_start:
+  la    a0, buf
+  ldiq  a1, 300
+  clr   t0
+L1:
+  addq  a1, 7, zero
+  ldq   zero, 0(a0)
+  lda   zero, 5(a1)
+  cmovne a1, a1, zero
+  bsr   zero, L2
+L2:
+  addq  t0, zero, t0
+  addq  t0, a1, t0
+  subq  a1, 1, a1
+  bne   a1, L1
+  mov   t0, a0
+  call_pal 2
+  clr   v0
+  call_pal 0
+  .data
+  .align 8
+buf:
+  .quad 0x1234
+  |}
+
+(* r31's cell is never written: writes to r31 land in the discard cell,
+   on both backends and both engines. *)
+let test_r31_stays_zero () =
+  let progs =
+    ("r31 writes", Alpha.Assembler.assemble prog_r31_writes)
+    :: List.map
+         (fun name ->
+           (name, Workloads.program (Option.get (Workloads.find name))))
+         [ "gzip"; "parser" ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      let reference = run_interp prog in
+      List.iter
+        (fun (kind, kname) ->
+          List.iter
+            (fun (engine, ename) ->
+              let cfg = { Config.default with engine } in
+              let vm = Vm.create ~cfg ~kind prog in
+              let label = Printf.sprintf "%s %s %s" name kname ename in
+              (match Vm.run vm with
+              | Vm.Exit 0 -> ()
+              | _ -> Alcotest.failf "%s: did not exit cleanly" label);
+              check Alcotest.string (label ^ " output") reference.output
+                (Vm.output vm);
+              check Alcotest.int64 (label ^ ": r31") 0L
+                (Alpha.Interp.get vm.interp 31))
+            [ (Config.Threaded, "threaded"); (Config.Matched, "matched") ])
+        [ (Vm.Acc, "acc"); (Vm.Straight_only, "straight") ])
+    progs
+
 let suite =
   [
     ("superblock formed for hot loop", `Quick, test_superblock_formed);
@@ -656,4 +717,5 @@ let suite =
     ("trap with dirty accumulator state", `Quick, test_trap_dirty_accumulator_state);
     ("cache flush mid-run preserves semantics", `Quick, test_flush_mid_run);
     ("cache flush empties and re-forms", `Quick, test_flush_retranslates);
+    ("r31 stays zero (both backends and engines)", `Quick, test_r31_stays_zero);
   ]

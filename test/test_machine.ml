@@ -70,6 +70,79 @@ let test_mem_dirty_tracking () =
   ignore (Memory.get_i64 m 0x10);
   check Alcotest.(list int) "reads don't dirty" [] (Memory.dirty_chunks m)
 
+(* The last-chunk cache must not leak between a memory and its copy: a copy
+   made while the original has a chunk cached writes only its own bytes. *)
+let test_mem_copy_after_cache () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0 ~len:0x100;
+  Memory.set_u8 m 0x10 7;
+  check Alcotest.int "original cached" 7 (Memory.get_u8 m 0x10);
+  let c = Memory.copy m in
+  Memory.set_u8 c 0x10 9;
+  Memory.set_i64 c 0x20 0x1122334455667788L;
+  check Alcotest.int "original unchanged by the copy's write" 7
+    (Memory.get_u8 m 0x10);
+  check Alcotest.int64 "original unchanged by the copy's i64 write" 0L
+    (Memory.get_i64 m 0x20);
+  check Alcotest.int "copy sees its write" 9 (Memory.get_u8 c 0x10);
+  Memory.set_u8 m 0x10 1;
+  check Alcotest.int "copy unchanged by the original's write" 9
+    (Memory.get_u8 c 0x10)
+
+(* A cached hit on one chunk must not let an access to an unmapped chunk
+   through: every width, and the cell moves, still fault. *)
+let test_mem_fault_after_cached_hit () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x10000 ~len:0x100;
+  let cell = Cell.create 1 in
+  let hit () = ignore (Memory.get_u8 m 0x10000) in
+  let faults what f =
+    hit ();
+    Alcotest.check_raises what (Memory.Fault 0x30000) f
+  in
+  faults "u8" (fun () -> ignore (Memory.get_u8 m 0x30000));
+  faults "u16" (fun () -> ignore (Memory.get_u16 m 0x30000));
+  faults "u32" (fun () -> Memory.set_u32 m 0x30000 1);
+  faults "i64" (fun () -> ignore (Memory.get_i64 m 0x30000));
+  faults "i64 into a cell" (fun () -> Memory.get_i64_into m 0x30000 cell 0);
+  faults "i64 from a cell" (fun () -> Memory.set_i64_from m 0x30000 cell 0);
+  (* the cache still serves the mapped chunk afterwards *)
+  Memory.set_u8 m 0x10001 5;
+  check Alcotest.int "mapped chunk still reachable" 5 (Memory.get_u8 m 0x10001)
+
+(* Accesses alternating between chunks, and straddling their boundary,
+   through both the boxed accessors and the cell moves. *)
+let test_mem_chunk_switching () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0 ~len:(3 * 65536);
+  let cell = Cell.create 2 in
+  for i = 0 to 99 do
+    let a = (i mod 3 * 65536) + (8 * i) in
+    Memory.set_i64 m a (Int64.of_int (i * 1000))
+  done;
+  for i = 0 to 99 do
+    let a = (i mod 3 * 65536) + (8 * i) in
+    Memory.get_i64_into m a cell 8;
+    check Alcotest.int64 "alternating chunks" (Int64.of_int (i * 1000))
+      (Cell.get cell 8)
+  done;
+  List.iter
+    (fun off ->
+      let a = 65536 - off in
+      Cell.set cell 0 0x0102030405060708L;
+      Memory.set_i64_from m a cell 0;
+      check Alcotest.int64 "straddling store" 0x0102030405060708L
+        (Memory.get_i64 m a);
+      check Alcotest.int "low byte in first chunk" 0x08 (Memory.get_u8 m a);
+      check Alcotest.int "high byte" 0x01 (Memory.get_u8 m (a + 7));
+      Memory.get_i64_into m a cell 8;
+      check Alcotest.int64 "straddling load" 0x0102030405060708L
+        (Cell.get cell 8))
+    [ 1; 3; 4; 7 ];
+  (* a straddle into an unmapped chunk faults *)
+  Alcotest.check_raises "straddle into unmapped" (Memory.Fault (3 * 65536))
+    (fun () -> Memory.get_i64_into m ((3 * 65536) - 4) cell 0)
+
 let prop_mem_roundtrip =
   QCheck.Test.make ~name:"memory i64 roundtrip" ~count:500
     QCheck.(pair (int_bound 0xfff0) int64)
@@ -274,6 +347,10 @@ let suite =
     ("memory fault on unmapped", `Quick, test_mem_fault);
     ("memory cross-chunk access", `Quick, test_mem_cross_chunk);
     ("memory dirty-chunk tracking", `Quick, test_mem_dirty_tracking);
+    ("memory copy after a cached chunk", `Quick, test_mem_copy_after_cache);
+    ("memory fault after a cached hit", `Quick,
+     test_mem_fault_after_cached_hit);
+    ("memory chunk switching and straddles", `Quick, test_mem_chunk_switching);
     ("cache hit/miss", `Quick, test_cache_hit_miss);
     ("cache LRU eviction", `Quick, test_cache_lru_eviction);
     ("cache full capacity hits", `Quick, test_cache_capacity);
