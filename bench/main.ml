@@ -1,7 +1,7 @@
 (* Benchmark harness entry point.
 
    Default mode regenerates every table and figure of the paper's
-   evaluation section over the twelve workloads:
+   evaluation section over the fourteen workloads:
 
      dune exec bench/main.exe                  # everything, scale 1
      dune exec bench/main.exe -- -e fig8       # one experiment
@@ -189,11 +189,12 @@ let run_bechamel () =
     results;
   List.iter print_endline (List.sort compare !rows)
 
-(* ---------- functional throughput (threaded vs. match engine) ---------- *)
+(* ---------- functional throughput (DBT vs. golden interpreter) ---------- *)
 
-(* Not a paper experiment: wall-clock throughput of the VM's two translated
-   execution engines, with full cross-engine state verification. Exit
-   status 1 on any divergence, so CI can gate on it (@perf-smoke). *)
+(* Not a paper experiment: wall-clock throughput of the VM's translated
+   execution against the golden interpreter, with full architected-state
+   verification. Exit status 1 on any divergence, so CI can gate on it
+   (@perf-smoke). *)
 let run_throughput fmt ~scale ~repeats =
   let rows = Harness.Throughput.sweep ~scale ~repeats () in
   ignore (Harness.Throughput.render fmt rows);
@@ -218,7 +219,7 @@ let run_throughput fmt ~scale ~repeats =
       rows
   then begin
     prerr_endline
-      "functional-throughput: threaded engine diverged from match engine";
+      "functional-throughput: the DBT diverged from the interpreter";
     exit 1
   end
 
@@ -325,11 +326,11 @@ let run_service_load fmt ~scale =
     exit 1
   end
 
-(* ---------- quantized NN inference (cross-engine, checksum-verified) ---------- *)
+(* ---------- quantized NN inference (checksum-verified) ---------- *)
 
-(* Not a paper experiment: the nn_* kernels under all three accumulator
-   engines plus the straightening backend, gated on the per-layer
-   checksums agreeing everywhere. Exit status 1 on any divergence, so CI
+(* Not a paper experiment: the nn_* kernels on the golden interpreter and
+   both DBT backends, gated on the per-layer checksums agreeing
+   everywhere. Exit status 1 on any divergence, so CI
    can gate on it (@nn-smoke). *)
 let run_nn fmt ~scale ~repeats =
   let rows = Harness.Nn_bench.sweep ~scale ~repeats () in
@@ -343,7 +344,7 @@ let run_nn fmt ~scale ~repeats =
     !bench_json;
   if List.exists (fun (r : Harness.Nn_bench.row) -> r.mismatches <> []) rows
   then begin
-    prerr_endline "nn-inference: engines disagree on NN kernel checksums";
+    prerr_endline "nn-inference: the DBT diverged from the interpreter";
     exit 1
   end
 
@@ -406,7 +407,7 @@ let run_experiments fmt exps ~scale =
 let specials () : (string * string * (Format.formatter -> unit)) list =
   [
     ("functional-throughput",
-     "VM execution-engine throughput (threaded vs. match), verified",
+     "VM translated-execution throughput (vs. the interpreter), verified",
      fun fmt -> run_throughput fmt ~scale:!scale ~repeats:!repeats);
     ("timing-fastfwd",
      "sampled vs full-fidelity ILDP timing, accuracy-gated",
@@ -418,7 +419,7 @@ let specials () : (string * string * (Format.formatter -> unit)) list =
      "translation-service session load over the warm-cache registry, verified",
      fun fmt -> run_service_load fmt ~scale:!scale);
     ("nn-inference",
-     "quantized NN kernels across all engines and backends, checksum-verified",
+     "quantized NN kernels on the interpreter and both DBTs, checksum-verified",
      fun fmt -> run_nn fmt ~scale:!scale ~repeats:!repeats);
     ("stress",
      "adversarial stress arms with translator-health telemetry, target-gated",

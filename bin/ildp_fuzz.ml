@@ -188,7 +188,7 @@ let write_json oc ~programs ~seed ~count ~jobs ~modes ~threaded ~stress
   p "{\n";
   p "  \"schema\": \"ildp-dbt-fuzz/1\",\n";
   p "  \"engine\": \"%s\",\n"
-    (if threaded then "threaded" else "instrumented");
+    (if threaded then "sink-less" else "evented");
   p "  \"generator\": \"%s\",\n" (if stress then "stress" else "oracle");
   p "  \"warm_start\": %b,\n" warm_start;
   p "  \"programs\": %d,\n" programs;
@@ -390,7 +390,7 @@ let cmd =
   let threaded =
     Arg.(value & flag & info [ "threaded" ]
            ~doc:"Run the VM sink-less so translated execution takes the \
-                 threaded-code engine (boundary granularity only).")
+                 sink-less trampoline (boundary granularity only).")
   in
   let stress =
     Arg.(value & flag & info [ "stress" ]

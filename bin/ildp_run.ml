@@ -49,7 +49,7 @@ let show_outcome buf = function
 
 (* Run one program; the whole report goes into [buf] so several runs can
    proceed on worker domains without interleaving their output. *)
-let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
+let run_one buf src scale isa chaining n_accs interp_only straight ildp
     ooo n_pe comm sample disasm fuel save_cache load_cache =
   let prog = load_program src scale in
   let isa = if isa = "basic" then Core.Config.Basic else Core.Config.Modified in
@@ -58,11 +58,6 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
     | "no_pred" -> Core.Config.No_pred
     | "sw_pred" -> Core.Config.Sw_pred_no_ras
     | _ -> Core.Config.Sw_pred_ras
-  in
-  let engine =
-    match engine with
-    | "matched" -> Core.Config.Matched
-    | _ -> Core.Config.Threaded
   in
   if interp_only then begin
     let st = Alpha.Interp.create prog in
@@ -88,7 +83,7 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
       m
   end
   else begin
-    let cfg = { Core.Config.default with isa; chaining; n_accs; engine } in
+    let cfg = { Core.Config.default with isa; chaining; n_accs } in
     let kind = if straight then Core.Vm.Straight_only else Core.Vm.Acc in
     let snapshot =
       match load_cache with
@@ -198,7 +193,7 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
       save_cache
   end
 
-let run srcs scale isa chaining n_accs engine interp_only straight ildp ooo
+let run srcs scale isa chaining n_accs interp_only straight ildp ooo
     n_pe comm sample disasm fuel jobs telemetry save_cache load_cache =
   Option.iter (fun _ -> Obs.set_enabled true) telemetry;
   if (save_cache <> None || load_cache <> None) && List.length srcs > 1 then begin
@@ -211,7 +206,7 @@ let run srcs scale isa chaining n_accs engine interp_only straight ildp ooo
   end;
   let report src =
     let buf = Buffer.create 1024 in
-    run_one buf src scale isa chaining n_accs engine interp_only straight ildp
+    run_one buf src scale isa chaining n_accs interp_only straight ildp
       ooo n_pe comm sample disasm fuel save_cache load_cache;
     Buffer.contents buf
   in
@@ -261,10 +256,6 @@ let cmd =
            ~doc:"Chaining: no_pred, sw_pred or sw_pred_ras.")
   in
   let n_accs = Arg.(value & opt int 4 & info [ "accs" ] ~doc:"Logical accumulators.") in
-  let engine =
-    Arg.(value & opt string "threaded" & info [ "engine" ]
-           ~doc:"Sink-less execution engine: threaded or matched.")
-  in
   let interp = Arg.(value & flag & info [ "interp" ] ~doc:"Interpret only (no DBT).") in
   let straight =
     Arg.(value & flag & info [ "straight" ] ~doc:"Code-straightening-only DBT.")
@@ -307,7 +298,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ildp_run" ~doc:"Run programs under the ILDP co-designed VM")
     Term.(
-      const run $ srcs $ scale $ isa $ chaining $ n_accs $ engine $ interp
+      const run $ srcs $ scale $ isa $ chaining $ n_accs $ interp
       $ straight $ ildp $ ooo $ n_pe $ comm $ sample $ disasm $ fuel $ jobs
       $ telemetry $ save_cache $ load_cache)
 

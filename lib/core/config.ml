@@ -12,16 +12,6 @@ type isa = Basic | Modified
      dual-address hardware RAS for returns (the paper's baseline). *)
 type chaining = No_pred | Sw_pred_no_ras | Sw_pred_ras
 
-(* Translated-code execution engine:
-   - [Threaded]: direct-threaded code — every cache slot is compiled into a
-     specialized closure at first use and [run] is a tight trampoline. No
-     per-instruction events, so it is the functional-mode (sink-less) path;
-   - [Matched]: the instrumented variant-match engine. Attaching a timing
-     sink always selects it regardless of this field, since only it emits
-     per-instruction events; forcing it here gives a sink-free baseline for
-     throughput comparisons. *)
-type engine = Threaded | Matched
-
 type t = {
   isa : isa;
   chaining : chaining;
@@ -39,8 +29,6 @@ type t = {
      ("this puts more pressure on decoding hardware but reduces pressure
      on fetch and reorder buffer mechanisms"). Default off (Section 2.1's
      addressing modes perform no computation). *)
-  engine : engine;
-  (* execution engine for sink-less translated execution; see {!engine} *)
   tcache_max_slots : int;
   (* translation-cache capacity in I-ISA slots. When a translation pushes
      the cache past this bound the VM flushes everything Dynamo-style
@@ -59,7 +47,6 @@ let default =
     n_accs = 4;
     stop_at_translated = false;
     fuse_mem = false;
-    engine = Threaded;
     tcache_max_slots = max_int;
   }
 
@@ -71,10 +58,6 @@ let default =
 let telemetry : bool ref = Obs.enabled
 
 let isa_name = function Basic -> "basic" | Modified -> "modified"
-
-let engine_name = function
-  | Threaded -> "threaded"
-  | Matched -> "matched"
 
 let chaining_name = function
   | No_pred -> "no_pred"
@@ -91,7 +74,6 @@ let fingerprint cfg ~backend ~image_digest : Persist.Snapshot.fingerprint =
     fp_backend = backend;
     fp_isa = isa_name cfg.isa;
     fp_chaining = chaining_name cfg.chaining;
-    fp_engine = engine_name cfg.engine;
     fp_n_accs = cfg.n_accs;
     fp_hot_threshold = cfg.hot_threshold;
     fp_max_superblock = cfg.max_superblock;

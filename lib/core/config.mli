@@ -12,14 +12,6 @@ type isa = Basic | Modified
       dual-address hardware RAS for returns (the paper's baseline). *)
 type chaining = No_pred | Sw_pred_no_ras | Sw_pred_ras
 
-(** Translated-code execution engine for sink-less (functional) runs:
-    - [Threaded]: direct-threaded code — each cache slot compiled into a
-      specialized closure, executed by a tight trampoline (the default);
-    - [Matched]: the instrumented variant-match engine, also always used
-      when a timing sink is attached (it alone emits per-instruction
-      events). Forcing it here gives a sink-free throughput baseline. *)
-type engine = Threaded | Matched
-
 type t = {
   isa : isa;
   chaining : chaining;
@@ -34,9 +26,6 @@ type t = {
       (** keep displacements inside I-ISA memory instructions instead of
           splitting address computation — the Section 4.5 option.
           Default off. *)
-  engine : engine;
-      (** execution engine for sink-less translated execution
-          (default [Threaded]). *)
   tcache_max_slots : int;
       (** translation-cache capacity in I-ISA slots: exceeding it after a
           translation triggers a Dynamo-style whole-cache flush (fragments,
@@ -57,7 +46,6 @@ val telemetry : bool ref
 
 val isa_name : isa -> string
 val chaining_name : chaining -> string
-val engine_name : engine -> string
 
 val fingerprint :
   t -> backend:string -> image_digest:string -> Persist.Snapshot.fingerprint

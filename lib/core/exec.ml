@@ -12,29 +12,27 @@ module Cell = Machine.Cell
    cache until a call-translator instruction (or a fuel bound) hands
    control back to the VM.
 
-   Two engines execute the same cache:
+   Every cache slot is compiled once into a specialized OCaml closure (an
+   {!op}), with operand reads, the destination write and the ALU operation
+   resolved to register cells at compile time. The ops are the one
+   per-slot semantics of an I-ISA, and two loops run them:
 
-   - the {e threaded-code} engine (default when no timing sink is
-     attached): every cache slot is compiled once into a specialized OCaml
-     closure, with operand reads, the destination write and the ALU
-     operation resolved to register cells at compile time, and
-     [run] is a tight [(Array.unsafe_get ops slot) t] trampoline;
-   - the {e instrumented} engine: a per-slot variant match that streams one
-     {!Machine.Ev.t} per committed instruction into the timing sink. It is
-     selected whenever a sink is attached (only it produces events), or
-     when {!Config.t.engine} forces [Matched].
-
-   Both engines maintain the same statistics record, execute the same
-   value functions, and are asserted byte-identical by the differential
-   tests and the lockstep oracle.
+   - the sink-less {e trampoline}, a tight [(Array.unsafe_get ops slot) t]
+     loop for functional runs;
+   - the {e evented} loop, taken when a timing sink is attached: it runs
+     the same ops and streams one {!Machine.Ev.t} per executed slot into
+     the sink. The facts an op does not return are derived around the
+     call: the effective address is read from the base cell before the op
+     runs ({!BACKEND.ea}), and whether a transfer was taken and whether a
+     dual-RAS return hit are derived from the op's result code
+     ({!BACKEND.event}).
 
    [Make] owns everything that does not depend on the instruction set: the
    engine record, the closure shadow of the cache with its patch replay,
-   the trampoline, the instrumented loop's frame (statistics and budget,
-   fragment-entry accounting, the sink call, the fuel stop) and precise-trap
-   repair. A {!BACKEND} supplies the rest: its registers, the per-slot
-   closure compiler, the instrumented engine's per-instruction step and
-   event, the PEI repair and the dispatch-miss target. {!Exec_acc} and
+   both loops (statistics and budget, fragment-entry accounting, the sink
+   call, the fuel stop) and precise-trap repair. A {!BACKEND} supplies the
+   rest: its registers, the per-slot closure compiler, the event facts, the
+   PEI repair and the dispatch-miss target. {!Exec_acc} and
    {!Exec_straight} are its two applications.
 
    Precise traps: a memory fault inside a fragment looks up the PEI table
@@ -66,12 +64,7 @@ type ('ctx, 'regs) t = {
   mutable vbase : int;
   stats : stats;
   mutable budget : int; (* V-ISA retirement budget of the current run *)
-  (* facts about the slot being executed, written by ops and steps *)
   mutable target : int; (* slot a [ret_dynamic] transfer goes to *)
-  mutable taken : bool; (* instrumented step took a control transfer *)
-  mutable ea : int; (* instrumented step's effective address *)
-  mutable dras_hit : bool; (* instrumented step verified a dual-RAS return *)
-  (* --- threaded-code engine state --- *)
   mutable ops : ('ctx, 'regs) op array; (* compiled slots [0, ops_len) *)
   mutable alphas : int array; (* per-slot V-ISA retirement, ops-parallel *)
   mutable classes : int array; (* per-slot Translate.slot_class, ops-parallel *)
@@ -84,10 +77,10 @@ type ('ctx, 'regs) t = {
 
 and ('ctx, 'regs) op = ('ctx, 'regs) t -> int
 
-(* Result protocol of a compiled op and of an instrumented step: a value
-   >= 0 is the next slot, reached through a static (compile-time checked)
-   edge; [ret_fault] reports a memory fault at the current slot, which the
-   engine turns into a precise-trap repair; [ret_dynamic] transfers to the
+(* Result protocol of a compiled op: a value >= 0 is the next slot,
+   reached through a static (compile-time checked) edge; [ret_fault]
+   reports a memory fault at the current slot, which the engine turns into
+   a precise-trap repair; [ret_dynamic] transfers to the
    register-valued slot left in [target], which the engine validates and
    counts as a fragment entry; [ret_exit id] names an entry of the exit
    table. *)
@@ -96,8 +89,6 @@ let ret_dynamic = -2
 let ret_exit exit_id = -(exit_id + 3)
 
 (* ---------- guest memory ---------- *)
-
-exception Unaligned of int (* address *)
 
 (* Guest-memory moves between memory and a register cell, by access width
    in bytes. Only 4-byte loads sign-extend ([signed]); narrower loads
@@ -130,15 +121,6 @@ let store_from ~bytes : Memory.t -> int -> Cell.t -> int -> unit =
 let ea_of_cell file off disp =
   (Int64.to_int (Cell.get file off) + disp) land Alpha.Interp.addr_mask
 
-(* Instrumented step: effective address of an access, recorded for the
-   event and checked for alignment (compiled ops test
-   [addr land (bytes - 1)] themselves and return [ret_fault]). *)
-let ea_checked t ~bytes file off disp =
-  let addr = ea_of_cell file off disp in
-  t.ea <- addr;
-  if addr land (bytes - 1) <> 0 then raise (Unaligned addr);
-  addr
-
 (* ---------- shared slot helpers ---------- *)
 
 (* Single source of truth for fragment-entry accounting. *)
@@ -153,10 +135,8 @@ let check_static ~n_slots ~slot target =
     invalid_arg
       (Printf.sprintf "exec: slot %d branches to invalid slot %d" slot target)
 
-(* A taken transfer to [target]; instrumented steps report every taken
-   transfer this way, compiled ops only register-valued ones. *)
+(* A register-valued transfer to [target]. *)
 let jump t target =
-  t.taken <- true;
   t.target <- target;
   ret_dynamic
 
@@ -174,25 +154,11 @@ let uncompiled_op _ = failwith "exec: uncompiled slot"
 let ret_dras t ~v_actual ~next =
   match Machine.Dual_ras.pop_verify t.dras ~v_actual with
   | Some i ->
-    t.dras_hit <- true;
     t.stats.ret_dras_hits <- t.stats.ret_dras_hits + 1;
     jump t i
   | None ->
     t.stats.ret_dras_misses <- t.stats.ret_dras_misses + 1;
     next
-
-(* The I-address half of a push-dual-RAS pair: an unpatched push (return
-   point untranslated at emission time) encodes its missing target as a
-   negative immediate. *)
-let dras_i_addr i_ret = if i_ret >= 0 then Some i_ret else None
-
-(* Push-dual-RAS after the return-address register write; only the
-   [Sw_pred_ras] configuration has the hardware stack. *)
-let push_dras t (chaining : Config.chaining) ~v_ret ~i_ret =
-  match chaining with
-  | Sw_pred_ras ->
-    Machine.Dual_ras.push t.dras ~v_addr:v_ret ~i_addr:(dras_i_addr i_ret)
-  | No_pred | Sw_pred_no_ras -> ()
 
 (* ---------- closure shapes shared by both slot compilers ---------- *)
 
@@ -243,14 +209,17 @@ let copy_op ~(src : loc) ~(dst : loc) ~next : _ op =
     Cell.set xd id (Cell.get xs is);
     next
 
-(* The push's I-address option is built here, once, so executing the push
-   allocates nothing. *)
+(* Push-dual-RAS after the return-address register write; only the
+   [Sw_pred_ras] configuration has the hardware stack. An unpatched push
+   (return point untranslated at emission time) encodes its missing
+   I-address as a negative immediate. The I-address option is built here,
+   once, so executing the push allocates nothing. *)
 let push_dras_op (chaining : Config.chaining) (dst : loc) ~v_ret ~i_ret ~next
     : _ op =
   let vr = Int64.of_int v_ret and x = dst.file and i = dst.off in
   match chaining with
   | Sw_pred_ras ->
-    let i_addr = dras_i_addr i_ret in
+    let i_addr = if i_ret >= 0 then Some i_ret else None in
     fun t ->
       Cell.set x i vr;
       Machine.Dual_ras.push t.dras ~v_addr:v_ret ~i_addr;
@@ -318,7 +287,6 @@ module type BACKEND = sig
   module Tc : CACHE
 
   val tc : ctx -> Tc.t
-  val cfg : ctx -> Config.t
   val exits : ctx -> Exitr.reason Vec.t
   val slot_alpha : ctx -> int Vec.t
   val slot_class : ctx -> int Vec.t
@@ -329,18 +297,25 @@ module type BACKEND = sig
       current region is complete, so every static branch target exists and
       the entry status of every existing slot is final. The closure does
       the slot's work only: per-slot statistics and the budget live in the
-      trampoline. *)
+      loops. *)
 
-  val step : (ctx, regs) t -> int -> int
-  (** Instrumented execution of one slot, under the same result protocol
-      except that every taken transfer goes through {!jump} (its target is
-      checked by the cache fetch of the next step, not at compile time).
-      Faults raise [Memory.Fault] or {!Unaligned}; the step records
-      [taken], [ea] and [dras_hit] for {!event}. *)
+  val ea : (ctx, regs) t -> int -> int
+  (** Effective address of the memory access at a slot, read from its base
+      cell before the op runs (so a load that overwrites its own base, and
+      a faulting access, still report it); 0 for any other slot. *)
 
-  val event : (ctx, regs) t -> int -> alpha:int -> target:int -> Machine.Ev.t
-  (** Timing event of the slot just stepped; [target] is the byte address
-      control goes to next. *)
+  val event :
+    (ctx, regs) t ->
+    int ->
+    res:int ->
+    ea:int ->
+    alpha:int ->
+    target:int ->
+    Machine.Ev.t
+  (** Timing event of the slot whose op just returned [res]; [target] is
+      the byte address control goes to next. Whether a transfer was taken
+      and whether a dual-RAS return hit are derived from [res] and the
+      slot's instruction. *)
 
   val repair : (ctx, regs) t -> int -> int option
   (** PEI repair at a faulting slot: restore architected values the backend
@@ -373,9 +348,6 @@ module Make (B : BACKEND) = struct
         };
       budget = 0;
       target = 0;
-      taken = false;
-      ea = 0;
-      dras_hit = false;
       ops = [||];
       alphas = [||];
       classes = [||];
@@ -466,17 +438,20 @@ module Make (B : BACKEND) = struct
           done;
           t.patch_mark <- m)
 
-  (* Threaded-code trampoline: exactly one indirect call per executed slot.
-     Statistics and the budget decrement happen here, before the op runs
-     (the fault path refunds the faulting instruction's credit). The budget
-     check mirrors the instrumented engine's ordering: an exit taken on the
-     very slot that exhausts the budget wins over [X_fuel]. *)
-  let run_threaded ?(fuel = max_int) t ~entry : exit =
+  (* Both loops: exactly one indirect call per executed slot. Statistics
+     and the budget decrement happen before the op runs (the fault path
+     refunds the faulting instruction's credit). An exit taken on the very
+     slot that exhausts the budget wins over [X_fuel]. *)
+  let start ?(fuel = max_int) t ~entry =
     sync_ops t;
     if entry < 0 || entry >= t.ops_len then
       invalid_arg "exec: entry is not a translated slot";
     t.budget <- fuel;
-    enter_dynamic t entry;
+    enter_dynamic t entry
+
+  (* Sink-less trampoline. *)
+  let run_threaded ?fuel t ~entry : exit =
+    start ?fuel t ~entry;
     let ops = t.ops and alphas = t.alphas and classes = t.classes in
     let st = t.stats in
     let by_class = st.by_class in
@@ -498,54 +473,42 @@ module Make (B : BACKEND) = struct
     in
     loop entry
 
-  (* Instrumented engine: execute from [entry] (a slot) until a VM exit.
-     [fuel] bounds the number of V-ISA instructions retired. *)
-  let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
+  (* Evented loop: the trampoline plus one sink call per executed slot,
+     made after the slot's transfer (or its exit or fault) resolved. *)
+  let run_evented (sink : Machine.Ev.t -> unit) ?fuel t ~entry : exit =
+    start ?fuel t ~entry;
     let tc = B.tc t.ctx in
-    let slot_alpha = B.slot_alpha t.ctx and slot_class = B.slot_class t.ctx in
+    let ops = t.ops and alphas = t.alphas and classes = t.classes in
     let st = t.stats in
-    t.budget <- fuel;
-    enter_dynamic t entry;
-    let emit s alpha target =
-      match sink with
-      | Some (f : Machine.Ev.t -> unit) -> f (B.event t s ~alpha ~target)
-      | None -> ()
-    in
-    let rec loop s =
-      let alpha = Vec.get slot_alpha s in
+    let by_class = st.by_class in
+    let rec loop slot =
       st.i_exec <- st.i_exec + 1;
-      let cls = Vec.get slot_class s in
-      st.by_class.(cls) <- st.by_class.(cls) + 1;
+      let cls = Array.unsafe_get classes slot in
+      Array.unsafe_set by_class cls (Array.unsafe_get by_class cls + 1);
+      let alpha = Array.unsafe_get alphas slot in
       st.alpha_retired <- st.alpha_retired + alpha;
       t.budget <- t.budget - alpha;
-      t.taken <- false;
-      t.ea <- 0;
-      t.dras_hit <- false;
-      let n = try B.step t s with Memory.Fault _ | Unaligned _ -> ret_fault in
-      if n >= 0 || n = ret_dynamic then begin
-        let next = if n >= 0 then n else t.target in
-        (* fragment-entry accounting for taken transfers *)
-        if n = ret_dynamic then enter_dynamic t next;
-        emit s alpha (B.Tc.addr_of tc next);
+      let ea = B.ea t slot in
+      let res = (Array.unsafe_get ops slot) t in
+      if res >= 0 || res = ret_dynamic then begin
+        let next = if res >= 0 then res else check_slot t t.target in
+        if res = ret_dynamic then enter_dynamic t next;
+        sink (B.event t slot ~res ~ea ~alpha ~target:(B.Tc.addr_of tc next));
         if t.budget <= 0 then X_fuel else loop next
       end
       else begin
-        let r = stop t s n in
-        emit s alpha (B.Tc.addr_of tc s + 4);
+        let r = stop t slot res in
+        sink
+          (B.event t slot ~res ~ea ~alpha ~target:(B.Tc.addr_of tc slot + 4));
         r
       end
     in
     loop entry
 
-  (* Engine selection: a timing sink needs per-instruction events, which
-     only the instrumented engine produces; sink-less runs take the threaded
-     path unless the configuration pins the match engine (throughput
-     baselines). *)
-  let run ?sink ?(fuel = max_int) t ~entry : exit =
+  (* A timing sink needs per-instruction events, which only the evented
+     loop produces. *)
+  let run ?sink ?fuel t ~entry : exit =
     match sink with
-    | Some _ -> run_instrumented ?sink ~fuel t ~entry
-    | None -> (
-      match (B.cfg t.ctx).engine with
-      | Config.Threaded -> run_threaded ~fuel t ~entry
-      | Config.Matched -> run_instrumented ~fuel t ~entry)
+    | Some f -> run_evented f ?fuel t ~entry
+    | None -> run_threaded ?fuel t ~entry
 end

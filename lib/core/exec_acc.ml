@@ -3,8 +3,8 @@ module Cell = Machine.Cell
 module I = Accisa.Insn
 
 (* The accumulator-ISA backend of {!Exec}: accumulators, their predicate
-   flags and the VM scratch registers, the slot compiler and the
-   instrumented step for {!Accisa.Insn.t}, and PEI repair that writes
+   flags and the VM scratch registers, the slot compiler and the event
+   facts for {!Accisa.Insn.t}, and PEI repair that writes
    architected values still living only in accumulators back to the
    register file. *)
 
@@ -12,7 +12,6 @@ type regs = {
   scratch : Cell.t; (* VM registers 32..63 *)
   accs : Cell.t;
   preds : bool array; (* conditional-move predicate flag per accumulator *)
-  tmp : Cell.t; (* instrumented step: staged immediates and results *)
 }
 
 let n_accs = 8
@@ -25,8 +24,8 @@ type engine = (Translate.ctx, regs) Exec.t
    cell and writes the discard cell), 32..63 the engine's scratch cells.
    Indices are validated here, when a register is resolved to its cell, so
    the cell accesses after it can be unchecked. The file and the offset
-   are separate functions so the instrumented step resolves a register
-   without allocating a {!Exec.loc}. *)
+   are separate functions so the event facts resolve a register without
+   allocating a {!Exec.loc}. *)
 
 let gpr_file (t : engine) g =
   if g < 0 || g > 63 then invalid_arg "exec_acc: GPR out of range";
@@ -50,27 +49,12 @@ let src_loc (t : engine) : I.src -> Exec.loc = function
   | Sgpr g -> gpr_loc t g
   | Simm v -> Exec.const v
 
-(* Instrumented step: copy an operand's value into [tmp] cell [k]. *)
-let stage (t : engine) k (s : I.src) =
-  let tmp = t.regs.tmp and o = k lsl 3 in
-  match s with
-  | Sacc a -> Cell.set tmp o (Cell.get t.regs.accs (acc_off a))
-  | Sgpr g -> Cell.set tmp o (Cell.get (gpr_file t g) (gpr_off g))
-  | Simm v -> Cell.set tmp o v
-
-(* [tmp] cell the instrumented step computes a result into. *)
-let res_off = 2 lsl 3
-
-(* Instrumented step: copy the cell at [off] in [file] to a destination. *)
-let write_dst (t : engine) (d : I.dst) file off =
-  let v = Cell.get file off in
-  if d.dacc >= 0 then begin
-    Cell.set t.regs.accs (acc_off d.dacc) v;
-    t.regs.preds.(d.dacc) <- false
-  end;
-  match d.gdst with
-  | Some g -> Cell.set (gpr_file t g) (gpr_woff g) v
-  | None -> ()
+(* An operand's value, for the event facts: the cell is read straight
+   into an [int], so nothing is boxed. *)
+let src_int (t : engine) : I.src -> int = function
+  | Sacc a -> Int64.to_int (Cell.get t.regs.accs (acc_off a))
+  | Sgpr g -> Int64.to_int (Cell.get (gpr_file t g) (gpr_off g))
+  | Simm v -> Int64.to_int v
 
 (* Write an accumulator back to architected register [r]. *)
 let acc_to_arch (t : engine) (a, r) =
@@ -232,93 +216,34 @@ let compile (t : engine) s : (Translate.ctx, regs) Exec.op =
     | I.Call_xlate_cond { cond; v; exit_id } ->
       Exec.exit_cond_op cond (src_loc t v) ~exit_id ~next
 
-(* ---------- instrumented engine: one slot ---------- *)
+(* ---------- event facts ---------- *)
 
-(* Operands are staged into [tmp] cells 0 and 1 and results computed into
-   [tmp] cell 2 ([res_off]), so values move cell to cell, as in the
-   compiled ops, and no register value is boxed. *)
-let step (t : engine) s =
-  let next = s + 1 in
-  let tmp = t.regs.tmp in
+let ea (t : engine) s =
   match Tcache.Acc.get t.ctx.tc s with
-  | I.Alu { op; d; a; b } ->
-    let f = Alpha.Insn.eval_into op in
-    stage t 0 a;
-    stage t 1 b;
-    f tmp res_off tmp 0 tmp 8;
-    write_dst t d tmp res_off;
-    next
-  | I.Cmov_test { cond; d; cv; old } ->
-    let c = Alpha.Insn.cond_cell cond in
-    stage t 0 cv;
-    stage t 1 old;
-    write_dst t d tmp 8;
-    t.regs.preds.(d.dacc) <- c tmp 0;
-    next
-  | I.Cmov_sel { d; p; nv } ->
-    let pa = match p with I.Sacc a -> a | _ -> assert false in
-    if t.regs.preds.(pa) then begin
-      stage t 0 nv;
-      write_dst t d tmp 0
-    end
-    else write_dst t d t.regs.accs (acc_off pa);
-    next
-  | I.Load { width; signed; d; base; disp } ->
-    let bytes = I.bytes_of_width width in
-    stage t 0 base;
-    let addr = Exec.ea_checked t ~bytes tmp 0 disp in
-    let ld = Exec.load_into ~bytes ~signed in
-    ld t.interp.mem addr tmp res_off;
-    write_dst t d tmp res_off;
-    next
-  | I.Store { width; value; base; disp } ->
-    let bytes = I.bytes_of_width width in
-    stage t 0 base;
-    stage t 1 value;
-    let addr = Exec.ea_checked t ~bytes tmp 0 disp in
-    let st = Exec.store_from ~bytes in
-    st t.interp.mem addr tmp 8;
-    next
-  | I.Copy_to_gpr { g; a } ->
-    Cell.set (gpr_file t g) (gpr_woff g) (Cell.get t.regs.accs (acc_off a));
-    next
-  | I.Copy_from_gpr { d; g } ->
-    write_dst t d (gpr_file t g) (gpr_off g);
-    next
-  | I.Br { target } -> Exec.jump t target
-  | I.Bc { cond; v; target } ->
-    let c = Alpha.Insn.cond_cell cond in
-    stage t 0 v;
-    if c tmp 0 then Exec.jump t target else next
-  | I.Jmp_ind { v } ->
-    stage t 0 v;
-    Exec.jump t (Int64.to_int (Cell.get tmp 0))
-  | I.Lta { d; value } ->
-    Cell.set tmp res_off value;
-    write_dst t d tmp res_off;
-    next
-  | I.Set_vbase { vaddr } ->
-    t.vbase <- vaddr;
-    next
-  | I.Push_dras { g; v_ret; i_ret } ->
-    Cell.set (gpr_file t g) (gpr_woff g) (Int64.of_int v_ret);
-    Exec.push_dras t t.ctx.cfg.chaining ~v_ret ~i_ret;
-    next
-  | I.Ret_dras { v } ->
-    stage t 0 v;
-    Exec.ret_dras t ~v_actual:(Int64.to_int (Cell.get tmp 0)) ~next
-  | I.Call_xlate { exit_id } ->
-    (* architected values still in accumulators (PAL exits) *)
-    ignore (apply_pei_map t s);
-    Exec.ret_exit exit_id
-  | I.Call_xlate_cond { cond; v; exit_id } ->
-    let c = Alpha.Insn.cond_cell cond in
-    stage t 0 v;
-    if c tmp 0 then begin
-      t.taken <- true;
-      Exec.ret_exit exit_id
-    end
-    else next
+  | I.Load { base; disp; _ } | I.Store { base; disp; _ } ->
+    (src_int t base + disp) land Alpha.Interp.addr_mask
+  | _ -> 0
+
+(* A conditional branch writes nothing, so its condition cell still holds
+   the value the op tested; a conditional exit is taken when it exits. *)
+let taken (t : engine) res : I.t -> bool = function
+  | Br _ | Jmp_ind _ -> true
+  | Bc { cond; v = Sacc a; _ } ->
+    Alpha.Insn.cond_cell cond t.regs.accs (acc_off a)
+  | Bc { cond; v = Sgpr g; _ } ->
+    Alpha.Insn.cond_cell cond (gpr_file t g) (gpr_off g)
+  | Bc { cond; v = Simm v; _ } -> Alpha.Insn.cond_true cond v
+  | Ret_dras _ -> res = Exec.ret_dynamic
+  | Call_xlate_cond _ -> res < 0
+  | _ -> false
+
+let event (t : engine) s ~res ~ea ~alpha ~target =
+  let tc = t.ctx.tc in
+  let i = Tcache.Acc.get tc s in
+  Accisa.Trace.ev ~dras_hit:(res = Exec.ret_dynamic)
+    ~strand_start:(Tcache.Acc.starts_strand tc s)
+    ~alpha_count:alpha ~pc:(Tcache.Acc.addr_of tc s) ~ea
+    ~taken:(taken t res i) ~target i
 
 include Exec.Make (struct
   type ctx = Translate.ctx
@@ -327,7 +252,6 @@ include Exec.Make (struct
   module Tc = Tcache.Acc
 
   let tc (c : ctx) = c.tc
-  let cfg (c : ctx) = c.cfg
   let exits (c : ctx) = c.exits
   let slot_alpha (c : ctx) = c.slot_alpha
   let slot_class (c : ctx) = c.slot_class
@@ -337,19 +261,11 @@ include Exec.Make (struct
       scratch = Cell.create 32;
       accs = Cell.create n_accs;
       preds = Array.make n_accs false;
-      tmp = Cell.create 3;
     }
 
   let compile = compile
-  let step = step
-
-  let event (t : engine) s ~alpha ~target =
-    let tc = t.ctx.tc in
-    Accisa.Trace.ev ~dras_hit:t.dras_hit
-      ~strand_start:(Tcache.Acc.starts_strand tc s)
-      ~alpha_count:alpha ~pc:(Tcache.Acc.addr_of tc s) ~ea:t.ea ~taken:t.taken
-      ~target (Tcache.Acc.get tc s)
-
+  let ea = ea
+  let event = event
   let repair = apply_pei_map
 
   (* The dispatch argument register holds the dynamic target V-address

@@ -3,7 +3,7 @@ module A = Alpha.Insn
 
 (* The straightened-Alpha backend of {!Exec}: no registers of its own (it
    executes straight on the interpreter's register file), the slot compiler
-   and the instrumented step for {!Alpha.Insn.t}. Control convention inside
+   and the event facts for {!Alpha.Insn.t}. Control convention inside
    the translation cache: Bc/Br immediate fields and the register consumed
    by Jump hold absolute slot indices (see {!Straighten}). *)
 
@@ -103,77 +103,30 @@ let compile (t : engine) s : (Straighten.ctx, unit) Exec.op =
     | A.Bsr _ | A.Call_pal _ ->
       fun _ -> failwith "exec_straight: untranslatable instruction in cache"
 
-(* ---------- instrumented engine: one slot ---------- *)
+(* ---------- event facts ---------- *)
 
-(* The step reads and writes the same cells as the compiled ops, so no
-   register value is boxed; the operate literal goes through the
-   interpreter's literal cell. *)
-let step (t : engine) s =
-  let next = s + 1 in
-  let regs = t.interp.regs in
+let ea (t : engine) s =
   match Tcache.Straight.get t.ctx.tc s with
-  | A.Mem (((Lda | Ldah) as op), ra, disp, rb) ->
-    let d = match op with Ldah -> disp * 65536 | _ -> disp in
-    Cell.set regs (wr_off ra)
-      (Int64.add (Cell.get regs (rd_off rb)) (Int64.of_int d));
-    next
-  | A.Mem (op, ra, disp, rb) ->
-    let bytes = bytes_of_mem op in
-    let addr = Exec.ea_checked t ~bytes regs (rd_off rb) disp in
-    let mem = t.interp.mem in
-    (match op with
-    | Ldq | Ldl | Ldwu | Ldbu ->
-      let ld = Exec.load_into ~bytes ~signed:true in
-      ld mem addr regs (wr_off ra)
-    | _ ->
-      let st = Exec.store_from ~bytes in
-      st mem addr regs (rd_off ra));
-    next
-  | A.Opr (op, ra, operand, rc) as insn ->
-    let ob =
-      match operand with
-      | A.Rb r -> rd_off r
-      | Imm i ->
-        let o = Alpha.Interp.lit_cell lsl 3 in
-        Cell.set regs o (Int64.of_int i);
-        o
-    in
-    if A.is_cmov insn then begin
-      let c = A.cond_cell (A.cmov_cond op) in
-      if c regs (rd_off ra) then Cell.set regs (wr_off rc) (Cell.get regs ob)
-    end
-    else begin
-      let f = A.eval_into op in
-      f regs (wr_off rc) regs (rd_off ra) regs ob
-    end;
-    next
-  | A.Br (_, target) -> Exec.jump t target
-  | A.Bc (c, ra, target) ->
-    let c = A.cond_cell c in
-    if c regs (rd_off ra) then Exec.jump t target else next
-  | A.Jump (_, _, rb) -> Exec.jump t (Int64.to_int (Cell.get regs (rd_off rb)))
-  | A.Lta (ra, v) ->
-    Cell.set regs (wr_off ra) (Int64.of_int v);
-    next
-  | A.Push_dras (ra, v_ret, i_ret) ->
-    Cell.set regs (wr_off ra) (Int64.of_int v_ret);
-    Exec.push_dras t t.ctx.cfg.chaining ~v_ret ~i_ret;
-    next
-  | A.Ret_dras rb ->
-    Exec.ret_dras t ~v_actual:(Int64.to_int (Cell.get regs (rd_off rb))) ~next
-  | A.Set_vbase v ->
-    t.vbase <- v;
-    next
-  | A.Call_xlate exit_id -> Exec.ret_exit exit_id
-  | A.Call_xlate_cond (c, ra, exit_id) ->
-    let c = A.cond_cell c in
-    if c regs (rd_off ra) then begin
-      t.taken <- true;
-      Exec.ret_exit exit_id
-    end
-    else next
-  | A.Bsr _ | A.Call_pal _ ->
-    failwith "exec_straight: untranslatable instruction in cache"
+  | A.Mem ((Lda | Ldah), _, _, _) -> 0
+  | A.Mem (_, _, disp, rb) -> Exec.ea_of_cell t.interp.regs (rd_off rb) disp
+  | _ -> 0
+
+(* A conditional branch writes nothing, so its condition register still
+   holds the value the op tested; a conditional exit is taken when it
+   exits. *)
+let taken (t : engine) res : A.t -> bool = function
+  | Br _ | Jump _ -> true
+  | Bc (c, ra, _) -> A.cond_cell c t.interp.regs (rd_off ra)
+  | Ret_dras _ -> res = Exec.ret_dynamic
+  | Call_xlate_cond _ -> res < 0
+  | _ -> false
+
+let event (t : engine) s ~res ~ea ~alpha ~target =
+  let tc = t.ctx.tc in
+  let insn = Tcache.Straight.get tc s in
+  Alpha.Trace.ev_of_exec ~dras_hit:(res = Exec.ret_dynamic)
+    ~alpha_count:alpha ~pc:(Tcache.Straight.addr_of tc s) ~insn
+    ~taken:(taken t res insn) ~target ~ea ()
 
 include Exec.Make (struct
   type ctx = Straighten.ctx
@@ -182,19 +135,13 @@ include Exec.Make (struct
   module Tc = Tcache.Straight
 
   let tc (c : ctx) = c.tc
-  let cfg (c : ctx) = c.cfg
   let exits (c : ctx) = c.exits
   let slot_alpha (c : ctx) = c.slot_alpha
   let slot_class (c : ctx) = c.slot_class
   let regs () = ()
   let compile = compile
-  let step = step
-
-  let event (t : engine) s ~alpha ~target =
-    let tc = t.ctx.tc in
-    Alpha.Trace.ev_of_exec ~dras_hit:t.dras_hit ~alpha_count:alpha
-      ~pc:(Tcache.Straight.addr_of tc s) ~insn:(Tcache.Straight.get tc s)
-      ~taken:t.taken ~target ~ea:t.ea ()
+  let ea = ea
+  let event = event
 
   let repair (t : engine) s =
     Option.map (fun p -> p.Tcache.pei_v_pc) (Tcache.Straight.pei_at t.ctx.tc s)

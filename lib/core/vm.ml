@@ -685,11 +685,9 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
   in
   (* prewarm: pay closure compilation for every restored slot up front
      instead of on the first [run] *)
-  if t.cfg.engine = Config.Threaded then begin
-    match t.backend with
-    | B_acc ex -> Exec_acc.sync_ops ex
-    | B_straight ex -> Exec_straight.sync_ops ex
-  end;
+  (match t.backend with
+  | B_acc ex -> Exec_acc.sync_ops ex
+  | B_straight ex -> Exec_straight.sync_ops ex);
   Obs.bump c_persist_loads 1;
   Obs.bump c_persist_slots slots;
   Obs.bump c_persist_prewarmed prewarmed

@@ -2,10 +2,10 @@
 
    Dispatches on the baseline's "schema" field:
 
-   - "ildp-dbt-exec-bench/*": re-runs the functional-throughput sweep and
+   - "ildp-dbt-exec-bench/3": re-runs the functional-throughput sweep and
      gates on it — every baseline workload must still exist, still verify
-     (matched vs threaded engines byte-identical), and the geomean
-     threaded/matched speedup must not regress below [1 - tol] of the
+     (the DBT agrees with the golden interpreter), and the geomean
+     threaded/interpreter speedup must not regress below [1 - tol] of the
      baseline's. Speedups are ratios of two timings taken on the same
      machine in the same process, so they transfer across hosts in a way
      absolute MIPS never could; per-workload speedups still jitter with
@@ -23,8 +23,10 @@
      (catches silently dropped experiments). Wall-clock totals are
      machine-dependent and never gated.
 
-   Both versions of each schema parse: /1 files predate the export
-   envelope, /2 files carry it. *)
+   Both versions of the timing and harness schemas parse: /1 files
+   predate the export envelope, /2 files carry it. The exec and NN gates
+   accept their current version only: earlier versions measured speedup
+   over the removed match engine, a different ratio. *)
 
 type outcome = {
   ok : bool;
@@ -128,7 +130,7 @@ let check_exec ~tol doc (rows : Throughput.row list) =
         | None -> failf ok lines "%s: in baseline but not in current sweep" b.b_name
         | Some r ->
           if r.mismatches <> [] then
-            failf ok lines "%s: engines disagree: %s" b.b_name
+            failf ok lines "%s: diverged from the interpreter: %s" b.b_name
               (String.concat "; " r.mismatches)
           else begin
             let s = Throughput.speedup r in
@@ -357,8 +359,8 @@ let check_service ~tol doc (service_sweep : sessions:int -> images:int ->
 (* ---- NN inference bench ---- *)
 
 (* Gate for BENCH_nn.json: re-runs the NN sweep and demands every kernel
-   still verify (all three accumulator engines byte-identical in state
-   and statistics, the straightening backend identical in guest output)
+   still verify (the accumulator DBT identical to the golden interpreter
+   in state and retired count, the straightening DBT in guest output)
    and — the strongest gate available — that the per-layer checksums the
    kernel prints match the baseline exactly. The checksums fold every
    requantized activation, are deterministic, and are host-independent,
@@ -381,7 +383,7 @@ let check_nn ~tol doc (rows : Nn_bench.row list) =
         | None -> failf ok lines "%s: in baseline but not in current sweep" name
         | Some r ->
           if r.mismatches <> [] then
-            failf ok lines "%s: engines disagree: %s" name
+            failf ok lines "%s: diverged from the interpreter: %s" name
               (String.concat "; " r.mismatches);
           (match
              Option.bind (J.member "checksums" b) J.to_list
@@ -504,14 +506,14 @@ let run ~tol ~ids ~sweep ~timing_sweep ~service_sweep ~nn_sweep
   | Error e -> { ok = false; lines = [ Printf.sprintf "FAIL %s: %s" path e ] }
   | Ok doc -> (
     match Obs.Envelope.schema_of doc with
-    | Some s when prefixed "ildp-dbt-exec-bench/" s -> check_exec ~tol doc (sweep ())
+    | Some s when s = Throughput.schema -> check_exec ~tol doc (sweep ())
     | Some s when prefixed "ildp-dbt-timing/" s ->
       check_timing ~tol doc (timing_sweep ())
     | Some s when prefixed "ildp-dbt-bench/" s -> check_harness doc ~ids
     | Some s when prefixed "ildp-dbt-persist/" s -> check_persist doc
     | Some s when prefixed "ildp-dbt-service/" s ->
       check_service ~tol doc service_sweep
-    | Some s when prefixed "ildp-dbt-nn/" s -> check_nn ~tol doc (nn_sweep ())
+    | Some s when s = Nn_bench.schema -> check_nn ~tol doc (nn_sweep ())
     | Some s when prefixed "ildp-dbt-stress/" s ->
       check_stress ~tol doc (stress_sweep ())
     | Some s -> { ok = false; lines = [ Printf.sprintf "FAIL unknown schema %S" s ] }

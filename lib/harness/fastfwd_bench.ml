@@ -1,5 +1,5 @@
 (* Fast-forward timing benchmark: sampled vs full-fidelity ILDP timing
-   over the twelve workloads.
+   over the fourteen workloads.
 
    Two timed arms per workload, both over the acc backend:
 

@@ -1,20 +1,19 @@
-(* Quantized-NN inference benchmark: the nn_* workloads run under every
-   translated-execution engine (instrumented match, threaded) on
-   the accumulator backend plus the code-straightening backend, and the
-   per-layer checksums the kernels print are the verified guest output.
+(* Quantized-NN inference benchmark: the nn_* workloads run on the golden
+   Alpha interpreter, on the accumulator DBT and on the code-straightening
+   DBT, and the per-layer checksums the kernels print are the verified
+   guest output.
 
    The checksums fold every requantized activation into the PAL console,
    so a single flipped bit anywhere in a fixed-point matmul — a mistrans-
    lated multiply, a wrong shift in requantization, a clamped-vs-unclamped
    ReLU — changes the printed output. [verify] therefore demands
-   byte-identical console output (and, between the accumulator engines,
-   identical statistics) across all three runs; the straightening backend
-   is held to output/outcome equality only, since its internal statistics
-   are legitimately different.
+   byte-identical console output across all three runs; the accumulator
+   DBT is also held to the interpreter's outcome, register checksum and
+   retired count ({!Throughput.verify}).
 
    Headline metric is the same whole-VM V-ISA MIPS as the functional-
-   throughput sweep, per engine, with the threaded/matched speedup gated
-   by [--check] against BENCH_nn.json. *)
+   throughput sweep, with the accumulator DBT's speedup over the
+   interpreter gated by [--check] against BENCH_nn.json. *)
 
 type straight_result = {
   st_outcome : string;
@@ -26,7 +25,7 @@ type straight_result = {
 type row = {
   name : string;
   checksums : int list;  (* per-layer checksums parsed from PAL output *)
-  matched : Throughput.run_result;
+  golden : Throughput.golden;
   threaded : Throughput.run_result;
   straight : straight_result;
   mismatches : string list;
@@ -65,41 +64,48 @@ let run_straight ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
     st_secs = secs;
   }
 
-let verify ~(matched : Throughput.run_result) ~threaded ~straight =
+let verify ~(golden : Throughput.golden) ~threaded ~straight =
   let ms = ref [] in
   List.iter
     (fun s -> ms := ("threaded: " ^ s) :: !ms)
-    (Throughput.verify ~matched ~threaded);
-  if straight.st_outcome <> matched.outcome then
+    (Throughput.verify ~golden ~threaded);
+  if straight.st_outcome <> golden.g_outcome then
     ms :=
       Printf.sprintf "straight: outcome %s vs %s" straight.st_outcome
-        matched.outcome
+        golden.g_outcome
       :: !ms;
-  if straight.st_output <> matched.output then
+  if straight.st_output <> golden.g_output then
     ms := "straight: checksum output differs" :: !ms;
   (* an NN kernel must actually emit per-layer checksums *)
-  if List.length (parse_checksums matched.output) < 3 then
+  if List.length (parse_checksums golden.g_output) < 3 then
     ms := "fewer than 3 checksum values on the console" :: !ms;
   List.rev !ms
 
 let sweep ?(scale = 1) ?(fuel = default_fuel) ?(repeats = 3) () =
   List.map
     (fun (w : Workloads.t) ->
-      let run engine () = Throughput.run_once ~engine ~scale ~fuel w in
-      let matched = Throughput.best ~repeats (run Core.Config.Matched) in
-      let threaded = Throughput.best ~repeats (run Core.Config.Threaded) in
+      let golden =
+        Throughput.best_golden ~repeats (fun () ->
+            Throughput.run_golden ~scale ~fuel w)
+      in
+      let threaded =
+        Throughput.best_run ~repeats (fun () ->
+            Throughput.run_once ~scale ~fuel w)
+      in
       let straight = run_straight ~scale ~fuel w in
       {
         name = w.name;
-        checksums = parse_checksums matched.output;
-        matched;
+        checksums = parse_checksums golden.g_output;
+        golden;
         threaded;
         straight;
-        mismatches = verify ~matched ~threaded ~straight;
+        mismatches = verify ~golden ~threaded ~straight;
       })
     (nn_workloads ())
 
-let speedup r = Throughput.mips r.threaded /. Throughput.mips r.matched
+let speedup r =
+  Throughput.mips r.threaded /. Throughput.golden_mips r.golden
+
 let straight_mips r =
   float_of_int r.straight.st_retired /. r.straight.st_secs /. 1e6
 
@@ -108,12 +114,12 @@ let render fmt rows =
     "Quantized NN inference (whole-VM V-ISA MIPS, per-layer checksums \
      verified)@.";
   Format.fprintf fmt "%-10s %10s %10s %10s  %-28s %s@." "kernel"
-    "matched" "threaded" "straight" "checksums" "check";
+    "interp" "threaded" "straight" "checksums" "check";
   List.iter
     (fun r ->
       Format.fprintf fmt "%-10s %10.2f %10.2f %10.2f  %-28s %s@."
         r.name
-        (Throughput.mips r.matched)
+        (Throughput.golden_mips r.golden)
         (Throughput.mips r.threaded)
         (straight_mips r)
         (String.concat " " (List.map string_of_int r.checksums))
@@ -123,7 +129,10 @@ let render fmt rows =
   Format.fprintf fmt "%-10s %10s %9.2fx@." "geomean" "" gm;
   gm
 
-let schema = "ildp-dbt-nn/1"
+(* Version 2: the reference column is the golden interpreter
+   ("interp_mips"), and "speedup" is threaded over interpreter; version 1
+   measured threaded over the removed match engine. *)
+let schema = "ildp-dbt-nn/2"
 
 let json_of_row r =
   let module J = Obs.Json in
@@ -132,7 +141,7 @@ let json_of_row r =
       ("outcome", J.String r.threaded.outcome);
       ("checksums", J.List (List.map (fun c -> J.Int c) r.checksums));
       ("v_insns", J.Int (Throughput.retired r.threaded));
-      ("match_mips", J.Float (Throughput.mips r.matched));
+      ("interp_mips", J.Float (Throughput.golden_mips r.golden));
       ("threaded_mips", J.Float (Throughput.mips r.threaded));
       ("straight_mips", J.Float (straight_mips r));
       ("speedup", J.Float (speedup r));

@@ -180,7 +180,6 @@ let json_of_fp (fp : Persist.Snapshot.fingerprint) =
     [ ("backend", J.String fp.fp_backend);
       ("isa", J.String fp.fp_isa);
       ("chaining", J.String fp.fp_chaining);
-      ("engine", J.String fp.fp_engine);
       ("n_accs", J.Int fp.fp_n_accs);
       ("hot_threshold", J.Int fp.fp_hot_threshold);
       ("max_superblock", J.Int fp.fp_max_superblock);
@@ -197,7 +196,6 @@ let fp_of_json doc =
   let* fp_backend = Option.bind (J.member "backend" doc) J.to_str in
   let* fp_isa = Option.bind (J.member "isa" doc) J.to_str in
   let* fp_chaining = Option.bind (J.member "chaining" doc) J.to_str in
-  let* fp_engine = Option.bind (J.member "engine" doc) J.to_str in
   let* fp_n_accs = Option.bind (J.member "n_accs" doc) J.to_int in
   let* fp_hot_threshold = Option.bind (J.member "hot_threshold" doc) J.to_int in
   let* fp_max_superblock =
@@ -216,7 +214,6 @@ let fp_of_json doc =
       Persist.Snapshot.fp_backend;
       fp_isa;
       fp_chaining;
-      fp_engine;
       fp_n_accs;
       fp_hot_threshold;
       fp_max_superblock;

@@ -62,11 +62,9 @@ let arm_spec arm ~scale =
   let cfg =
     match arm with
     | Stress.Flush_storm ->
-      { Core.Config.default with
-        engine = Core.Config.Threaded; hot_threshold;
-        tcache_max_slots = flush_cap }
+      { Core.Config.default with hot_threshold; tcache_max_slots = flush_cap }
     | Stress.Megamorphic | Stress.Call_tower ->
-      { Core.Config.default with engine = Core.Config.Threaded; hot_threshold }
+      { Core.Config.default with hot_threshold }
   in
   { prog; cfg }
 
@@ -75,8 +73,7 @@ let arm_spec arm ~scale =
 let reference_spec ~scale =
   let w = List.find (fun (w : Workloads.t) -> w.name = "gzip") Workloads.all in
   { prog = Workloads.program ~scale w;
-    cfg =
-      { Core.Config.default with engine = Core.Config.Threaded; hot_threshold } }
+    cfg = { Core.Config.default with hot_threshold } }
 
 let run_spec ~name ~fuel { prog; cfg } =
   let golden = Alpha.Interp.create prog in

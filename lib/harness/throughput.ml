@@ -1,13 +1,14 @@
 (* Functional-throughput benchmark: translated execution speed of the VM
    itself (no timing model attached), measured in V-ISA MIPS over the
-   twelve workloads.
+   fourteen workloads.
 
-   Each workload runs twice under identical configurations except for
-   {!Core.Config.t.engine}: once on the instrumented variant-match engine
-   ([Matched]) and once on the threaded-code engine ([Threaded]). The two
-   runs must finish in byte-identical architected state with identical
-   statistics — [verify] checks that — which doubles as an end-to-end
-   differential test of the closure-compiled path at full workload scale.
+   Each workload runs twice on the same image: once on the golden Alpha
+   interpreter ({!Alpha.Interp.run}), the reference, and once on the
+   accumulator DBT's threaded-code engine. The two runs must end with the
+   same outcome, console output, architected register checksum and
+   retired V-insn count — [verify] checks that — which doubles as an
+   end-to-end differential test of the DBT at full workload scale. The
+   speedup is DBT over interpreter, both timed in the same process.
 
    The headline metric is whole-VM throughput: every architecturally
    retired V-ISA instruction (interpreted + translated) divided by
@@ -19,24 +20,17 @@ type run_result = {
   outcome : string;
   output : string; (* PAL console output *)
   checksum : int64; (* architected register checksum *)
-  i_exec : int;
-  by_class : int array;
   alpha : int; (* V-ISA instructions retired in translated mode *)
-  frag_enters : int;
-  dras_hits : int;
-  dras_misses : int;
   interp_insns : int;
-  superblocks : int;
   secs : float;
   minor_words : float; (* words allocated by [Vm.run] *)
 }
 
 let default_fuel = 100_000_000
 
-let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
+let run_once ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
   let prog = Workloads.program ~scale w in
-  let cfg = { Core.Config.default with engine } in
-  let vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc prog in
+  let vm = Core.Vm.create ~kind:Core.Vm.Acc prog in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let outcome = Core.Vm.run ~fuel vm in
@@ -54,14 +48,8 @@ let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
     outcome;
     output = Core.Vm.output vm;
     checksum = Core.Vm.reg_checksum vm;
-    i_exec = ex.stats.i_exec;
-    by_class = Array.copy ex.stats.by_class;
     alpha = ex.stats.alpha_retired;
-    frag_enters = ex.stats.frag_enters;
-    dras_hits = ex.stats.ret_dras_hits;
-    dras_misses = ex.stats.ret_dras_misses;
     interp_insns = vm.interp_insns;
-    superblocks = vm.superblocks;
     secs;
     minor_words;
   }
@@ -70,43 +58,63 @@ let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
 let retired r = r.alpha + r.interp_insns
 let mips r = float_of_int (retired r) /. r.secs /. 1e6
 
+(* The golden interpreter's run of the same image: the reference. *)
+type golden = {
+  g_outcome : string;
+  g_output : string;
+  g_checksum : int64;
+  g_retired : int;
+  g_secs : float;
+}
+
+let run_golden ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
+  let interp = Alpha.Interp.create (Workloads.program ~scale w) in
+  let t0 = Unix.gettimeofday () in
+  let outcome = Alpha.Interp.run ~fuel interp in
+  let g_secs = Unix.gettimeofday () -. t0 in
+  {
+    g_outcome =
+      (match outcome with
+      | Alpha.Interp.Exit c -> Printf.sprintf "exit:%d" c
+      | Alpha.Interp.Fault tr ->
+        Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
+      | Alpha.Interp.Out_of_fuel -> "fuel");
+    g_output = Alpha.Interp.output interp;
+    g_checksum = Alpha.Interp.reg_checksum interp;
+    g_retired = interp.icount;
+    g_secs;
+  }
+
+let golden_mips g = float_of_int g.g_retired /. g.g_secs /. 1e6
+
 (* Minor-heap words allocated per retired V-ISA instruction, whole VM. *)
 let words_per_insn r = r.minor_words /. float_of_int (max 1 (retired r))
 
-(* Everything except wall-clock time must agree between the engines. *)
-let verify ~(matched : run_result) ~(threaded : run_result) =
+(* The DBT run must agree with the interpreter on everything
+   architecturally visible. *)
+let verify ~(golden : golden) ~(threaded : run_result) =
   let ms = ref [] in
   let chk name got want =
     if got <> want then ms := Printf.sprintf "%s: %s vs %s" name got want :: !ms
   in
-  let chki name got want =
-    chk name (string_of_int got) (string_of_int want)
-  in
-  chk "outcome" threaded.outcome matched.outcome;
-  chk "output" threaded.output matched.output;
+  chk "outcome" threaded.outcome golden.g_outcome;
+  chk "output" threaded.output golden.g_output;
   chk "reg_checksum"
     (Printf.sprintf "%#Lx" threaded.checksum)
-    (Printf.sprintf "%#Lx" matched.checksum);
-  chki "i_exec" threaded.i_exec matched.i_exec;
-  Array.iteri
-    (fun i c -> chki (Printf.sprintf "by_class.(%d)" i) threaded.by_class.(i) c)
-    matched.by_class;
-  chki "alpha_retired" threaded.alpha matched.alpha;
-  chki "frag_enters" threaded.frag_enters matched.frag_enters;
-  chki "ret_dras_hits" threaded.dras_hits matched.dras_hits;
-  chki "ret_dras_misses" threaded.dras_misses matched.dras_misses;
-  chki "interp_insns" threaded.interp_insns matched.interp_insns;
-  chki "superblocks" threaded.superblocks matched.superblocks;
+    (Printf.sprintf "%#Lx" golden.g_checksum);
+  chk "retired"
+    (string_of_int (retired threaded))
+    (string_of_int golden.g_retired);
   List.rev !ms
 
 type row = {
   name : string;
-  matched : run_result; (* best-of-repeats timing *)
+  golden : golden; (* best-of-repeats timing *)
   threaded : run_result;
   mismatches : string list;
 }
 
-let speedup r = mips r.threaded /. mips r.matched
+let speedup r = mips r.threaded /. golden_mips r.golden
 
 (* The allocation gate's quantity: threaded-engine words per V-insn over
    the whole sweep, total words over total instructions, so each workload
@@ -118,28 +126,27 @@ let threaded_words_per_insn rows =
   let insns = List.fold_left (fun a r -> a + retired r.threaded) 0 rows in
   words /. float_of_int (max 1 insns)
 
-(* Best-of-N wall clock; the simulations are deterministic, so state and
-   statistics are identical across repeats and only timing varies. *)
-let best ~repeats f =
-  let r0 = f () in
-  let best = ref r0 in
+(* Best-of-N wall clock by [secs]; the simulations are deterministic, so
+   state and statistics are identical across repeats and only timing
+   varies. *)
+let best ~repeats ~secs f =
+  let best = ref (f ()) in
   for _ = 2 to repeats do
     let r = f () in
-    if r.secs < !best.secs then best := r
+    if secs r < secs !best then best := r
   done;
   !best
+
+let best_golden ~repeats f = best ~repeats ~secs:(fun g -> g.g_secs) f
+let best_run ~repeats f = best ~repeats ~secs:(fun r -> r.secs) f
 
 let sweep ?(scale = 1) ?(fuel = default_fuel) ?(repeats = 3) () =
   List.map
     (fun (w : Workloads.t) ->
-      let matched =
-        best ~repeats (fun () -> run_once ~engine:Core.Config.Matched ~scale ~fuel w)
-      in
-      let threaded =
-        best ~repeats (fun () ->
-            run_once ~engine:Core.Config.Threaded ~scale ~fuel w)
-      in
-      { name = w.name; matched; threaded; mismatches = verify ~matched ~threaded })
+      let golden = best_golden ~repeats (fun () -> run_golden ~scale ~fuel w) in
+      let threaded = best_run ~repeats (fun () -> run_once ~scale ~fuel w) in
+      let mismatches = verify ~golden ~threaded in
+      { name = w.name; golden; threaded; mismatches })
     Workloads.all
 
 type jobs_row = { jobs : int; wall_secs : float; agg_mips : float }
@@ -152,8 +159,7 @@ let jobs_sweep ~jobs ?(scale = 1) ?(fuel = default_fuel) () =
     Pool.with_pool ~jobs (fun pool ->
         Workloads.all
         |> List.map (fun w ->
-               Pool.submit pool (fun () ->
-                   run_once ~engine:Core.Config.Threaded ~scale ~fuel w))
+               Pool.submit pool (fun () -> run_once ~scale ~fuel w))
         |> List.map Pool.await)
   in
   let wall = Unix.gettimeofday () -. t0 in
@@ -164,11 +170,11 @@ let render fmt rows =
   Format.fprintf fmt
     "Functional throughput (whole-VM V-ISA MIPS, translated execution)@.";
   Format.fprintf fmt "%-12s %12s %12s %10s %10s %10s  %s@." "workload"
-    "matched" "threaded" "speedup" "xlated%" "words/insn" "check";
+    "interp" "threaded" "speedup" "xlated%" "words/insn" "check";
   List.iter
     (fun r ->
       Format.fprintf fmt "%-12s %12.2f %12.2f %9.2fx %9.1f%% %10.3f  %s@."
-        r.name (mips r.matched) (mips r.threaded) (speedup r)
+        r.name (golden_mips r.golden) (mips r.threaded) (speedup r)
         (100.0 *. float_of_int r.threaded.alpha
         /. float_of_int (max 1 (retired r.threaded)))
         (words_per_insn r.threaded)
@@ -180,11 +186,11 @@ let render fmt rows =
     "" (threaded_words_per_insn rows);
   gm
 
-(* Baseline schema, version 2: same per-workload fields as /1 but carried
-   inside the shared {!Obs.Envelope}, and the pool-scaling series renamed
-   from "jobs" (which the envelope now claims) to "jobs_sweep". The
-   [--check] reader accepts both versions. *)
-let schema = "ildp-dbt-exec-bench/2"
+(* Baseline schema, version 3: the reference column is the golden
+   interpreter ("interp_secs"/"interp_mips"), and "speedup" is threaded
+   over interpreter. Versions 1 and 2 measured threaded over the removed
+   match engine, so [--check] accepts this version only. *)
+let schema = "ildp-dbt-exec-bench/3"
 
 let json_of_row r =
   let module J = Obs.Json in
@@ -194,8 +200,8 @@ let json_of_row r =
       ("v_insns", J.Int (retired r.threaded));
       ("translated_alpha", J.Int r.threaded.alpha);
       ("interp_insns", J.Int r.threaded.interp_insns);
-      ("match_secs", J.Float r.matched.secs);
-      ("match_mips", J.Float (mips r.matched));
+      ("interp_secs", J.Float r.golden.g_secs);
+      ("interp_mips", J.Float (golden_mips r.golden));
       ("threaded_secs", J.Float r.threaded.secs);
       ("threaded_mips", J.Float (mips r.threaded));
       ("speedup", J.Float (speedup r));

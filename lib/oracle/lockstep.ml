@@ -133,7 +133,7 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
     ?(warm_start = false) ?corrupt ~mode prog =
   (* per-instruction comparison is unsound mid-fragment for accumulator
      backends (deferred state copies); restrict it to straightened code.
-     The threaded-code engine emits no events at all, so under [threaded]
+     The sink-less trampoline emits no events at all, so under [threaded]
      everything degrades to boundary granularity. *)
   let granularity =
     match mode.kind with
@@ -144,7 +144,7 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
   let cfg =
     { Core.Config.default with
       isa = mode.isa; chaining = mode.chaining; fuse_mem = mode.fuse_mem;
-      hot_threshold; tcache_max_slots; engine = Core.Config.Threaded }
+      hot_threshold; tcache_max_slots }
   in
   (* Warm start under test: run a throwaway VM of the same configuration
      cold to completion, snapshot its translation cache, push the snapshot
@@ -240,8 +240,8 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
     | Per_insn | Boundary -> ()
   in
   try
-    (* [threaded] runs sink-less so the VM takes the threaded-code engine:
-       the oracle then validates that engine, at the cost of losing the
+    (* [threaded] runs sink-less so the VM takes the sink-less trampoline:
+       the oracle then validates that loop, at the cost of losing the
        fragment-disassembly context in divergence reports *)
     let sink = if threaded then None else Some sink in
     let outcome = Core.Vm.run ?sink ~boundary ~fuel vm in

@@ -83,8 +83,8 @@ val run :
   result
 (** Execute [prog] under [mode] with the reference in lockstep.
     [threaded] (default false) runs the VM without an event sink so
-    translated execution takes the threaded-code engine — the oracle then
-    validates that engine instead of the instrumented one, at the cost of
+    translated execution takes the sink-less trampoline — the oracle then
+    validates that loop instead of the evented one, at the cost of
     per-instruction granularity and fragment-disassembly context in
     divergence reports. [flush_every] > 0 injects a {!Core.Vm.flush}
     every that many segment boundaries (default 0 = never).

@@ -23,14 +23,15 @@ let magic = "ILDPSNAP"
    version 6: the region/superop tiers and the static cycle annotation
    were removed — the fingerprint lost fp_region_threshold,
    fp_region_max_slots and fp_superops, the cache lost slot_cyc_ooo,
-   slot_cyc_ildp and the idiom table. *)
-let version = 6
+   slot_cyc_ildp and the idiom table.
+   version 7: the fingerprint lost its engine field — translated code has
+   one per-slot semantics, so no engine choice changes how it executes. *)
+let version = 7
 
 type fingerprint = {
   fp_backend : string;
   fp_isa : string;
   fp_chaining : string;
-  fp_engine : string;
   fp_n_accs : int;
   fp_hot_threshold : int;
   fp_max_superblock : int;
@@ -55,7 +56,6 @@ let fingerprint_mismatches ~got ~want =
       s "backend" got.fp_backend want.fp_backend;
       s "isa" got.fp_isa want.fp_isa;
       s "chaining" got.fp_chaining want.fp_chaining;
-      s "engine" got.fp_engine want.fp_engine;
       i "n_accs" got.fp_n_accs want.fp_n_accs;
       i "hot_threshold" got.fp_hot_threshold want.fp_hot_threshold;
       i "max_superblock" got.fp_max_superblock want.fp_max_superblock;
@@ -116,7 +116,6 @@ let put_fingerprint w fp =
   B.str w fp.fp_backend;
   B.str w fp.fp_isa;
   B.str w fp.fp_chaining;
-  B.str w fp.fp_engine;
   B.int w fp.fp_n_accs;
   B.int w fp.fp_hot_threshold;
   B.int w fp.fp_max_superblock;
@@ -129,7 +128,6 @@ let get_fingerprint r =
   let fp_backend = B.read_str r in
   let fp_isa = B.read_str r in
   let fp_chaining = B.read_str r in
-  let fp_engine = B.read_str r in
   let fp_n_accs = B.read_int r in
   let fp_hot_threshold = B.read_int r in
   let fp_max_superblock = B.read_int r in
@@ -137,7 +135,7 @@ let get_fingerprint r =
   let fp_fuse_mem = B.read_bool r in
   let fp_tcache_max_slots = B.read_int r in
   let fp_image_digest = B.read_str r in
-  { fp_backend; fp_isa; fp_chaining; fp_engine; fp_n_accs; fp_hot_threshold;
+  { fp_backend; fp_isa; fp_chaining; fp_n_accs; fp_hot_threshold;
     fp_max_superblock; fp_stop_at_translated; fp_fuse_mem;
     fp_tcache_max_slots; fp_image_digest }
 

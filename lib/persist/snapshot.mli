@@ -9,7 +9,7 @@
 
     The container format is [magic | version | payload-length | CRC-32 |
     payload]. The payload opens with a {!fingerprint} covering backend,
-    ISA, chaining, engine, every translation-relevant configuration knob,
+    ISA, chaining, every translation-relevant configuration knob,
     and an MD5 digest of the workload image — a snapshot taken under any
     other configuration or program is {e rejected} at load with a clean
     {!Error}, never silently mis-loaded.
@@ -26,7 +26,6 @@ type fingerprint = {
   fp_backend : string;  (** ["acc"] or ["straight"] *)
   fp_isa : string;
   fp_chaining : string;
-  fp_engine : string;
   fp_n_accs : int;
   fp_hot_threshold : int;
   fp_max_superblock : int;

@@ -48,8 +48,8 @@ let create ?dir () =
    collide and the name stays filesystem-safe. *)
 let spill_name (fp : Persist.Snapshot.fingerprint) =
   let cfg_tag =
-    Printf.sprintf "%s/%s/%s/%s/%d/%d/%d/%b/%b/%d" fp.fp_backend fp.fp_isa
-      fp.fp_chaining fp.fp_engine fp.fp_n_accs fp.fp_hot_threshold
+    Printf.sprintf "%s/%s/%s/%d/%d/%d/%b/%b/%d" fp.fp_backend fp.fp_isa
+      fp.fp_chaining fp.fp_n_accs fp.fp_hot_threshold
       fp.fp_max_superblock fp.fp_stop_at_translated fp.fp_fuse_mem
       fp.fp_tcache_max_slots
   in

@@ -4,7 +4,7 @@
    fixed-point matmul, a rounding requantize (arithmetic shift by the Q8
    scale) and a ReLU (compiled to CMOVNE via [sel]). A running checksum
    per layer is the verified guest output, so the lockstep oracle and
-   cross-engine verification cover the kernel like any SPEC analogue.
+   interpreter-verified sweeps cover the kernel like any SPEC analogue.
 
    The shape is the dense-ALU-strand / strided-memory workload the SPEC
    set barely covers: long multiply-accumulate chains over contiguous

@@ -339,7 +339,7 @@ let test_json_deep_nesting () =
 let test_json_fingerprint_roundtrip () =
   let fp =
     { Persist.Snapshot.fp_backend = "acc"; fp_isa = "modified";
-      fp_chaining = "sw_pred_ras"; fp_engine = "threaded"; fp_n_accs = 4;
+      fp_chaining = "sw_pred_ras"; fp_n_accs = 4;
       fp_hot_threshold = 45; fp_max_superblock = 200;
       fp_stop_at_translated = false; fp_fuse_mem = true;
       fp_tcache_max_slots = max_int;

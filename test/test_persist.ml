@@ -77,22 +77,22 @@ let test_crc32 () =
 
 let prog_of_seed seed = Gen.assemble (Gen.generate ~seed)
 
-let cfg_of ?(engine = Core.Config.Threaded) (mode : Lockstep.mode) =
+let cfg_of (mode : Lockstep.mode) =
   { Core.Config.default with
     isa = mode.isa; chaining = mode.chaining; fuse_mem = mode.fuse_mem;
-    hot_threshold = 10; engine }
+    hot_threshold = 10 }
 
 let base_mode =
   { Lockstep.kind = Core.Vm.Acc; isa = Core.Config.Modified;
     chaining = Core.Config.Sw_pred_ras; fuse_mem = false }
 
-let run_cold ?(mode = base_mode) ?engine prog =
-  let vm = Core.Vm.create ~cfg:(cfg_of ?engine mode) ~kind:mode.kind prog in
-  let outcome = Core.Vm.run ~fuel:5_000_000 vm in
+let run_cold ?(mode = base_mode) ?sink prog =
+  let vm = Core.Vm.create ~cfg:(cfg_of mode) ~kind:mode.kind prog in
+  let outcome = Core.Vm.run ?sink ~fuel:5_000_000 vm in
   (vm, outcome)
 
-let snapshot_of ?(mode = base_mode) ?engine prog =
-  let vm, _ = run_cold ~mode ?engine prog in
+let snapshot_of ?(mode = base_mode) prog =
+  let vm, _ = run_cold ~mode prog in
   Core.Vm.save_snapshot vm
 
 (* ---------- container roundtrip and determinism ---------- *)
@@ -171,14 +171,14 @@ let test_framing_rejected () =
   expect_error "trailing garbage" (fun () ->
       Persist.Snapshot.of_string (bytes ^ "x"));
   (* version skew: bump the little-endian version word at offset 8, and
-     stamp the previous format version (v5, which still carried the
-     region/superop and cycle-annotation fields) over it *)
+     stamp the previous format version (v6, whose fingerprint still
+     carried the engine field) over it *)
   let b = Bytes.of_string bytes in
   Bytes.set b 8 (Char.chr (Char.code (Bytes.get b 8) + 1));
   expect_error "version skew" (fun () ->
       Persist.Snapshot.of_string (Bytes.to_string b));
-  Bytes.set b 8 (Char.chr 5);
-  expect_error "v5 snapshot" (fun () ->
+  Bytes.set b 8 (Char.chr 6);
+  expect_error "v6 snapshot" (fun () ->
       Persist.Snapshot.of_string (Bytes.to_string b))
 
 (* An array count inflated to 0xFFFFFFFF inside a payload whose CRC is
@@ -294,8 +294,6 @@ let test_fingerprint_rejected () =
       load { cfg with isa = Core.Config.Basic } Core.Vm.Acc);
   expect_error "chaining" (fun () ->
       load { cfg with chaining = Core.Config.No_pred } Core.Vm.Acc);
-  expect_error "engine" (fun () ->
-      load { cfg with engine = Core.Config.Matched } Core.Vm.Acc);
   expect_error "hot threshold" (fun () ->
       load { cfg with hot_threshold = 11 } Core.Vm.Acc);
   expect_error "n_accs" (fun () -> load { cfg with n_accs = 8 } Core.Vm.Acc);
@@ -319,17 +317,16 @@ let test_mismatch_report () =
 
 (* ---------- warm start equivalence ---------- *)
 
-let warm_equals_cold ?(mode = base_mode) ?engine prog =
-  let cold_vm, cold_outcome = run_cold ~mode ?engine prog in
+let warm_equals_cold ?(mode = base_mode) ?sink prog =
+  let cold_vm, cold_outcome = run_cold ~mode ?sink prog in
   let snap =
     Persist.Snapshot.of_string
       (Persist.Snapshot.to_string (Core.Vm.save_snapshot cold_vm))
   in
   let warm_vm =
-    Core.Vm.create ~cfg:(cfg_of ?engine mode) ~snapshot:snap ~kind:mode.kind
-      prog
+    Core.Vm.create ~cfg:(cfg_of mode) ~snapshot:snap ~kind:mode.kind prog
   in
-  let warm_outcome = Core.Vm.run ~fuel:5_000_000 warm_vm in
+  let warm_outcome = Core.Vm.run ?sink ~fuel:5_000_000 warm_vm in
   check Alcotest.bool "same outcome" true (warm_outcome = cold_outcome);
   check Alcotest.string "same output" (Core.Vm.output cold_vm)
     (Core.Vm.output warm_vm);
@@ -347,8 +344,16 @@ let test_warm_equivalence () =
     ignore (warm_equals_cold (prog_of_seed seed))
   done
 
-let test_warm_equivalence_matched_engine () =
-  ignore (warm_equals_cold ~engine:Core.Config.Matched (prog_of_seed 2))
+(* Warm and cold runs with a timing sink attached take the evented loop;
+   they must agree with each other and with the sink-less warm run. *)
+let test_warm_equivalence_null_sink () =
+  let prog = prog_of_seed 2 in
+  let _, evented = warm_equals_cold ~sink:ignore prog in
+  let _, sinkless = warm_equals_cold prog in
+  check Alcotest.bool "evented warm = sink-less warm" true
+    (Core.Vm.reg_checksum evented = Core.Vm.reg_checksum sinkless
+    && Core.Vm.exec_stats evented = Core.Vm.exec_stats sinkless
+    && evented.segs = sinkless.segs)
 
 let test_warm_equivalence_straight () =
   let mode =
@@ -462,8 +467,8 @@ let suite =
     Alcotest.test_case "mismatch report" `Quick test_mismatch_report;
     Alcotest.test_case "warm == cold (acc, threaded)" `Quick
       test_warm_equivalence;
-    Alcotest.test_case "warm == cold (matched engine)" `Quick
-      test_warm_equivalence_matched_engine;
+    Alcotest.test_case "warm == cold (null sink)" `Quick
+      test_warm_equivalence_null_sink;
     Alcotest.test_case "warm == cold (straight)" `Quick
       test_warm_equivalence_straight;
     Alcotest.test_case "prewarm compiles closures" `Quick

@@ -47,9 +47,7 @@ let run_vm ~cfg prog =
   | Core.Vm.Out_of_fuel -> Alcotest.fail "stress arm ran out of fuel");
   vm
 
-let threaded_cfg =
-  { Core.Config.default with
-    engine = Core.Config.Threaded; hot_threshold = 10 }
+let threaded_cfg = { Core.Config.default with hot_threshold = 10 }
 
 let chain_share vm =
   let st = Core.Vm.exec_stats vm in
