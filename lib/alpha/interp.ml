@@ -223,8 +223,12 @@ let run ?(fuel = max_int) t =
   go fuel
 
 (* Run while emitting one {!Machine.Ev.t} per committed instruction — the
-   trace source for the "original" out-of-order superscalar simulations. *)
+   trace source for the "original" out-of-order superscalar simulations.
+   Each text word gets one event template, built the first time it
+   commits; later commits rewrite only its dynamic facts, so the sink must
+   not keep the event past its call. *)
 let run_ev ?(fuel = max_int) t ~(sink : Ev.t -> unit) =
+  let evs = Array.make (Array.length t.code) Ev.no_template in
   let rec go n =
     if n <= 0 then Out_of_fuel
     else
@@ -232,8 +236,20 @@ let run_ev ?(fuel = max_int) t ~(sink : Ev.t -> unit) =
       | Halted c -> Exit c
       | Trapped tr -> Fault tr
       | Step i ->
-        sink (Trace.ev_of_exec ~pc:i.xpc ~insn:i.insn ~taken:i.taken
-                ~target:i.next_pc ~ea:i.ea ());
+        let k = (i.xpc - t.text_base) lsr 2 in
+        let ev = evs.(k) in
+        let ev =
+          if ev != Ev.no_template then ev
+          else begin
+            let e = Trace.ev_of_exec ~pc:i.xpc i.insn in
+            evs.(k) <- e;
+            e
+          end
+        in
+        ev.ea <- i.ea;
+        ev.taken <- i.taken;
+        ev.target <- i.next_pc;
+        sink ev;
         go (n - 1)
   in
   go fuel

@@ -5,7 +5,9 @@ module Ev = Machine.Ev
 
    Used both for native ("original") Alpha runs and for straightened-Alpha
    translated code; in the latter case the caller passes the translation-
-   cache byte address as [pc] and fills in the dual-RAS outcome. *)
+   cache byte address as [pc]. Producers build one event per static
+   instruction and rewrite its dynamic facts ([ea], [taken], [target], a
+   dual-RAS return's outcome) on every commit. *)
 
 let cls_of (insn : Insn.t) : Ev.cls =
   match insn with
@@ -28,7 +30,7 @@ let cls_of (insn : Insn.t) : Ev.cls =
   | Call_xlate_cond _ -> Cond_br
   | Set_vbase _ -> Alu
 
-let pred_of (insn : Insn.t) ~dras_hit : Ev.pred =
+let pred_of (insn : Insn.t) : Ev.pred =
   match insn with
   | Bc _ | Call_xlate_cond _ -> P_cond
   | Br (ra, _) -> if ra = Reg.zero then P_direct else P_ras_call
@@ -37,23 +39,21 @@ let pred_of (insn : Insn.t) ~dras_hit : Ev.pred =
   | Jump (Jsr, _, _) -> P_ras_call_ind
   | Jump (Jmp, _, _) -> P_indirect
   | Push_dras _ -> P_dras_call
-  | Ret_dras _ -> P_dras_ret dras_hit
+  | Ret_dras _ -> Ev.p_dras_miss (* the outcome is a dynamic fact *)
   | Call_xlate _ -> P_direct
   | _ -> Not_control
 
-(* Build the event for one committed instruction.
-
-   [gpr_base] offsets register tokens: 0 for architected Alpha registers.
-   Events from translated code use the same mapping (architected registers
-   0..31, VM scratch 32..63). *)
-let ev_of_exec ?(dras_hit = false) ?(size = 4) ?(alpha_count = 1) ~pc
-    ~(insn : Insn.t) ~taken ~target ~ea () =
+(* The event template of the instruction [insn] at [pc], its dynamic facts
+   zero. Register tokens are the register numbers: events from translated
+   code use the same mapping (architected registers 0..31, VM scratch
+   32..63). *)
+let ev_of_exec ?(alpha_count = 1) ~pc (insn : Insn.t) =
   let srcs = Insn.srcs insn in
   let nth n = match List.nth_opt srcs n with Some r when r <> Reg.zero -> r | _ -> -1 in
   let dst = match Insn.dest insn with Some r when r <> Reg.zero -> r | _ -> -1 in
   {
     Ev.pc;
-    size;
+    size = 4;
     cls = cls_of insn;
     src1 = nth 0;
     src2 = nth 1;
@@ -63,9 +63,9 @@ let ev_of_exec ?(dras_hit = false) ?(size = 4) ?(alpha_count = 1) ~pc
     lazy_dst2 = false;
     acc = -1;
     strand_start = false;
-    ea;
-    taken;
-    target;
-    pred = pred_of insn ~dras_hit;
+    ea = 0;
+    taken = false;
+    target = 0;
+    pred = pred_of insn;
     alpha_count;
   }

@@ -21,11 +21,14 @@ module Cell = Machine.Cell
      loop for functional runs;
    - the {e evented} loop, taken when a timing sink is attached: it runs
      the same ops and streams one {!Machine.Ev.t} per executed slot into
-     the sink. The facts an op does not return are derived around the
+     the sink. Each slot's event is a template built from its static facts
+     the first time the slot runs ({!BACKEND.template}); every execution
+     rewrites only the dynamic facts in place, so the loop allocates
+     nothing. The facts an op does not return are derived around the
      call: the effective address is read from the base cell before the op
-     runs ({!BACKEND.ea}), and whether a transfer was taken and whether a
-     dual-RAS return hit are derived from the op's result code
-     ({!BACKEND.event}).
+     runs ({!BACKEND.ea}), whether a transfer was taken is derived from
+     the op's result code ({!BACKEND.taken}), and a dual-RAS return hit
+     when the op returned [ret_dynamic].
 
    [Make] owns everything that does not depend on the instruction set: the
    engine record, the closure shadow of the cache with its patch replay,
@@ -68,6 +71,10 @@ type ('ctx, 'regs) t = {
   mutable ops : ('ctx, 'regs) op array; (* compiled slots [0, ops_len) *)
   mutable alphas : int array; (* per-slot V-ISA retirement, ops-parallel *)
   mutable classes : int array; (* per-slot Translate.slot_class, ops-parallel *)
+  mutable evs : Machine.Ev.t array;
+      (* per-slot event template, ops-parallel once the evented loop has
+         run ([||] before); {!Machine.Ev.no_template} until that loop first
+         runs the slot *)
   mutable ops_len : int;
   mutable ops_gen : int; (* Tcache generation the compiled prefix shadows *)
   mutable patch_mark : int; (* patch-log entries already recompiled *)
@@ -304,18 +311,14 @@ module type BACKEND = sig
       cell before the op runs (so a load that overwrites its own base, and
       a faulting access, still report it); 0 for any other slot. *)
 
-  val event :
-    (ctx, regs) t ->
-    int ->
-    res:int ->
-    ea:int ->
-    alpha:int ->
-    target:int ->
-    Machine.Ev.t
-  (** Timing event of the slot whose op just returned [res]; [target] is
-      the byte address control goes to next. Whether a transfer was taken
-      and whether a dual-RAS return hit are derived from [res] and the
-      slot's instruction. *)
+  val template : (ctx, regs) t -> int -> alpha:int -> Machine.Ev.t
+  (** A fresh event carrying a slot's static facts (address, size, class,
+      register tokens, steering, prediction kind) and its V-ISA retirement
+      [alpha]. The loop fills in the dynamic facts on every execution. *)
+
+  val taken : (ctx, regs) t -> int -> res:int -> bool
+  (** Whether the slot whose op just returned [res] transferred control,
+      derived from [res] and the slot's instruction. *)
 
   val repair : (ctx, regs) t -> int -> int option
   (** PEI repair at a faulting slot: restore architected values the backend
@@ -351,6 +354,7 @@ module Make (B : BACKEND) = struct
       ops = [||];
       alphas = [||];
       classes = [||];
+      evs = [||];
       ops_len = 0;
       ops_gen = -1;
       patch_mark = 0;
@@ -389,13 +393,17 @@ module Make (B : BACKEND) = struct
   (* Lazily (re)build the compiled-op shadow of the translation cache: reset
      on cache flush (generation bump), compile newly pushed slots, then
      recompile every slot patched since the last sync (chaining patches
-     rewrite call-translator slots into direct branches). *)
+     rewrite call-translator slots into direct branches). Event templates
+     follow the ops: a flush drops them all, and a recompiled slot's
+     template goes back to {!Machine.Ev.no_template}, so the evented loop
+     rebuilds it from the patched instruction. *)
   let sync_ops t =
     let tc = B.tc t.ctx in
     let gen = B.Tc.generation tc in
     if t.ops_gen <> gen then begin
       if t.ops_len > 0 then t.flushed <- true;
       t.ops <- [||];
+      t.evs <- [||];
       t.ops_len <- 0;
       t.patch_mark <- 0;
       t.ops_gen <- gen
@@ -433,6 +441,8 @@ module Make (B : BACKEND) = struct
             let sl = B.Tc.patched_slot tc i in
             if sl < n then begin
               t.ops.(sl) <- B.compile t sl;
+              if sl < Array.length t.evs then
+                t.evs.(sl) <- Machine.Ev.no_template;
               Obs.bump c_replays 1
             end
           done;
@@ -473,12 +483,27 @@ module Make (B : BACKEND) = struct
     in
     loop entry
 
+  (* The template array grows to the shadow's capacity when the evented
+     loop starts, so sink-less runs never allocate it. Templates already
+     built stay valid: a flush empties the array. *)
+  let sync_evs t =
+    let cap = Array.length t.ops in
+    if Array.length t.evs < cap then begin
+      let ge = Array.make cap Machine.Ev.no_template in
+      Array.blit t.evs 0 ge 0 (Array.length t.evs);
+      t.evs <- ge
+    end
+
   (* Evented loop: the trampoline plus one sink call per executed slot,
-     made after the slot's transfer (or its exit or fault) resolved. *)
+     made after the slot's transfer (or its exit or fault) resolved. The
+     sink gets the slot's template with this execution's dynamic facts
+     written in. *)
   let run_evented (sink : Machine.Ev.t -> unit) ?fuel t ~entry : exit =
     start ?fuel t ~entry;
+    sync_evs t;
     let tc = B.tc t.ctx in
     let ops = t.ops and alphas = t.alphas and classes = t.classes in
+    let evs = t.evs in
     let st = t.stats in
     let by_class = st.by_class in
     let rec loop slot =
@@ -488,18 +513,35 @@ module Make (B : BACKEND) = struct
       let alpha = Array.unsafe_get alphas slot in
       st.alpha_retired <- st.alpha_retired + alpha;
       t.budget <- t.budget - alpha;
-      let ea = B.ea t slot in
+      let ev = Array.unsafe_get evs slot in
+      let ev =
+        if ev != Machine.Ev.no_template then ev
+        else begin
+          let e = B.template t slot ~alpha in
+          Array.unsafe_set evs slot e;
+          e
+        end
+      in
+      ev.ea <- B.ea t slot;
       let res = (Array.unsafe_get ops slot) t in
+      ev.taken <- B.taken t slot ~res;
+      (match ev.pred with
+      | Machine.Ev.P_dras_ret _ ->
+        ev.pred <-
+          (if res = ret_dynamic then Machine.Ev.p_dras_hit
+           else Machine.Ev.p_dras_miss)
+      | _ -> ());
       if res >= 0 || res = ret_dynamic then begin
         let next = if res >= 0 then res else check_slot t t.target in
         if res = ret_dynamic then enter_dynamic t next;
-        sink (B.event t slot ~res ~ea ~alpha ~target:(B.Tc.addr_of tc next));
+        ev.target <- B.Tc.addr_of tc next;
+        sink ev;
         if t.budget <= 0 then X_fuel else loop next
       end
       else begin
         let r = stop t slot res in
-        sink
-          (B.event t slot ~res ~ea ~alpha ~target:(B.Tc.addr_of tc slot + 4));
+        ev.target <- B.Tc.addr_of tc slot + 4;
+        sink ev;
         r
       end
     in

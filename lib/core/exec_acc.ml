@@ -226,7 +226,8 @@ let ea (t : engine) s =
 
 (* A conditional branch writes nothing, so its condition cell still holds
    the value the op tested; a conditional exit is taken when it exits. *)
-let taken (t : engine) res : I.t -> bool = function
+let taken (t : engine) s ~res =
+  match Tcache.Acc.get t.ctx.tc s with
   | Br _ | Jmp_ind _ -> true
   | Bc { cond; v = Sacc a; _ } ->
     Alpha.Insn.cond_cell cond t.regs.accs (acc_off a)
@@ -237,13 +238,10 @@ let taken (t : engine) res : I.t -> bool = function
   | Call_xlate_cond _ -> res < 0
   | _ -> false
 
-let event (t : engine) s ~res ~ea ~alpha ~target =
+let template (t : engine) s ~alpha =
   let tc = t.ctx.tc in
-  let i = Tcache.Acc.get tc s in
-  Accisa.Trace.ev ~dras_hit:(res = Exec.ret_dynamic)
-    ~strand_start:(Tcache.Acc.starts_strand tc s)
-    ~alpha_count:alpha ~pc:(Tcache.Acc.addr_of tc s) ~ea
-    ~taken:(taken t res i) ~target i
+  Accisa.Trace.ev ~strand_start:(Tcache.Acc.starts_strand tc s)
+    ~alpha_count:alpha ~pc:(Tcache.Acc.addr_of tc s) (Tcache.Acc.get tc s)
 
 include Exec.Make (struct
   type ctx = Translate.ctx
@@ -265,7 +263,8 @@ include Exec.Make (struct
 
   let compile = compile
   let ea = ea
-  let event = event
+  let template = template
+  let taken = taken
   let repair = apply_pei_map
 
   (* The dispatch argument register holds the dynamic target V-address

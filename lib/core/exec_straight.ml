@@ -114,19 +114,18 @@ let ea (t : engine) s =
 (* A conditional branch writes nothing, so its condition register still
    holds the value the op tested; a conditional exit is taken when it
    exits. *)
-let taken (t : engine) res : A.t -> bool = function
+let taken (t : engine) s ~res =
+  match Tcache.Straight.get t.ctx.tc s with
   | Br _ | Jump _ -> true
   | Bc (c, ra, _) -> A.cond_cell c t.interp.regs (rd_off ra)
   | Ret_dras _ -> res = Exec.ret_dynamic
   | Call_xlate_cond _ -> res < 0
   | _ -> false
 
-let event (t : engine) s ~res ~ea ~alpha ~target =
+let template (t : engine) s ~alpha =
   let tc = t.ctx.tc in
-  let insn = Tcache.Straight.get tc s in
-  Alpha.Trace.ev_of_exec ~dras_hit:(res = Exec.ret_dynamic)
-    ~alpha_count:alpha ~pc:(Tcache.Straight.addr_of tc s) ~insn
-    ~taken:(taken t res insn) ~target ~ea ()
+  Alpha.Trace.ev_of_exec ~alpha_count:alpha ~pc:(Tcache.Straight.addr_of tc s)
+    (Tcache.Straight.get tc s)
 
 include Exec.Make (struct
   type ctx = Straighten.ctx
@@ -141,7 +140,8 @@ include Exec.Make (struct
   let regs () = ()
   let compile = compile
   let ea = ea
-  let event = event
+  let template = template
+  let taken = taken
 
   let repair (t : engine) s =
     Option.map (fun p -> p.Tcache.pei_v_pc) (Tcache.Straight.pei_at t.ctx.tc s)

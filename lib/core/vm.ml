@@ -197,7 +197,9 @@ let interp_step_accounted t =
   r
 
 (* Run the program under the VM. [sink] receives translated-code events;
-   [boundary] fires at every translated-execution segment end. *)
+   [boundary] fires at every translated-execution segment end. The event
+   handed to [sink] is the slot's reused template, so the sink must not
+   keep it past its call ({!Machine.Ev.copy} makes a keepable one). *)
 let run ?sink ?boundary ?(fuel = max_int) t : outcome =
   t.fuel <- fuel;
   let notify_boundary () = match boundary with Some f -> f () | None -> () in

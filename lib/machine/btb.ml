@@ -27,15 +27,25 @@ let create ?(entries = 512) ?(ways = 4) () =
 
 let set_of t pc = (pc lsr 2) land (t.sets - 1)
 
+(* Way of the line tagged [pc] in the set starting at [base], -1 when
+   absent. *)
+let rec way_of t base pc w =
+  if w >= t.ways then -1
+  else if t.tags.(base + w) = pc then w
+  else way_of t base pc (w + 1)
+
 (* Predicted target for the control instruction at [pc], if present. *)
 let lookup t pc =
   let base = set_of t pc * t.ways in
-  let rec go w =
-    if w >= t.ways then None
-    else if t.tags.(base + w) = pc then Some t.targets.(base + w)
-    else go (w + 1)
-  in
-  go 0
+  let w = way_of t base pc 0 in
+  if w < 0 then None else Some t.targets.(base + w)
+
+(* [lookup t pc = Some target], without allocating: the timing models ask
+   this once per taken transfer. *)
+let predicts t pc ~target =
+  let base = set_of t pc * t.ways in
+  let w = way_of t base pc 0 in
+  w >= 0 && t.targets.(base + w) = target
 
 (* Record that [pc] transferred to [target], installing/refreshing a line. *)
 let update t pc ~target =

@@ -17,5 +17,9 @@ val create : ?entries:int -> ?ways:int -> unit -> t
 val lookup : t -> int -> int option
 (** Predicted target for the control instruction at a PC, if present. *)
 
+val predicts : t -> int -> target:int -> bool
+(** [predicts t pc ~target] is [lookup t pc = Some target], without
+    allocating. *)
+
 val update : t -> int -> target:int -> unit
 (** Record that the instruction transferred to [target] (LRU install). *)

@@ -36,6 +36,12 @@ type pred =
   | P_dras_call       (* pushes the dual-address RAS *)
   | P_dras_ret of bool (* dual-address RAS return; payload = pair verified *)
 
+(* The dynamic facts ([ea], [taken], [target] and a dual-RAS return's
+   [pred] outcome) are mutable: the producers keep one event per static
+   instruction, built once from its static facts, and rewrite only those
+   fields each time the instruction commits. A sink must therefore not
+   keep an event past its call; a consumer that needs one later keeps
+   [copy e]. *)
 type t = {
   pc : int;            (* byte address of this instruction (I- or V-space) *)
   size : int;          (* encoded size in bytes, for I-cache modelling *)
@@ -50,10 +56,10 @@ type t = {
                           without an operational write) *)
   acc : int;           (* ILDP steering id (accumulator/strand), -1 if none *)
   strand_start : bool; (* first instruction of a strand: steer to a new PE *)
-  ea : int;            (* effective address for Load/Store *)
-  taken : bool;        (* control outcome *)
-  target : int;        (* actual next pc *)
-  pred : pred;
+  mutable ea : int;    (* effective address for Load/Store *)
+  mutable taken : bool; (* control outcome *)
+  mutable target : int; (* actual next pc *)
+  mutable pred : pred;
   alpha_count : int;   (* V-ISA instructions retired by this event *)
 }
 
@@ -82,6 +88,18 @@ let default =
     pred = Not_control;
     alpha_count = 1;
   }
+
+let copy e = { e with pc = e.pc }
+
+(* Physical sentinel of a template cell whose instruction has not been
+   built yet; producers compare against it with [==] and never hand it to
+   a sink. *)
+let no_template = copy default
+
+(* The two dual-RAS return outcomes as shared constants, so recording one
+   allocates nothing. *)
+let p_dras_hit = P_dras_ret true
+let p_dras_miss = P_dras_ret false
 
 let is_mem e = match e.cls with Load | Store -> true | _ -> false
 

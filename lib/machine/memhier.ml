@@ -64,6 +64,8 @@ let load t ~pe addr =
    access time for accounting purposes. *)
 let store t addr =
   let missed_all = ref true in
-  Array.iter (fun c -> if Cache.access c addr then missed_all := false) t.l1s;
+  for pe = 0 to Array.length t.l1s - 1 do
+    if Cache.access t.l1s.(pe) addr then missed_all := false
+  done;
   ignore (Cache.access t.l2 addr);
   if !missed_all then t.cfg.l1_lat + t.cfg.l2_lat else t.cfg.l1_lat

@@ -15,12 +15,15 @@ let clear t =
 let push t addr =
   t.buf.(t.top) <- addr;
   t.top <- (t.top + 1) mod Array.length t.buf;
-  t.depth <- min (t.depth + 1) (Array.length t.buf)
+  t.depth <- Int.min (t.depth + 1) (Array.length t.buf)
 
-let pop t =
-  if t.depth = 0 then None
-  else begin
-    t.top <- (t.top + Array.length t.buf - 1) mod Array.length t.buf;
-    t.depth <- t.depth - 1;
-    Some t.buf.(t.top)
-  end
+(* Pop a non-empty stack. *)
+let take t =
+  t.top <- (t.top + Array.length t.buf - 1) mod Array.length t.buf;
+  t.depth <- t.depth - 1;
+  t.buf.(t.top)
+
+let pop t = if t.depth = 0 then None else Some (take t)
+
+(* [pop t = Some addr], without allocating. *)
+let pop_is t addr = t.depth > 0 && take t = addr

@@ -10,3 +10,7 @@ val create : ?entries:int -> unit -> t
 val clear : t -> unit
 val push : t -> int -> unit
 val pop : t -> int option
+
+val pop_is : t -> int -> bool
+(** [pop_is t a] pops like [pop] and is [pop t = Some a], without
+    allocating. *)

@@ -142,19 +142,31 @@ let least_loaded t =
    the PE that produced a GPR source value (the strand's input stays local,
    which is what lets the machine tolerate global wire latency), unless that
    PE is clearly more loaded than the best alternative. *)
+let affinity t tok = if tok >= 0 && tok < 64 then t.reg_pe.(tok) else -1
+
 let pick_pe t (ev : Ev.t) =
   let ll = least_loaded t in
   if t.p.comm = 0 then ll
   else begin
-    let affinity tok =
-      if tok >= 0 && tok < 64 then Some t.reg_pe.(tok) else None
-    in
-    match
-      (match affinity ev.src1 with Some p -> Some p | None -> affinity ev.src2)
-    with
-    | Some p when t.pe_last_issue.(p) <= t.pe_last_issue.(ll) + (2 * t.p.comm) -> p
-    | _ -> ll
+    let p = affinity t ev.src1 in
+    let p = if p >= 0 then p else affinity t ev.src2 in
+    if p >= 0 && t.pe_last_issue.(p) <= t.pe_last_issue.(ll) + (2 * t.p.comm)
+    then p
+    else ll
   end
+
+(* Operand readiness as seen from [pe]: a GPR produced on another PE, or
+   one that drains lazily, arrives after the communication latency. *)
+let ready t pe tok acc =
+  if tok < 0 then acc
+  else begin
+    let base = t.reg_ready.(tok) in
+    let remote = t.reg_pe.(tok) <> pe || t.reg_lazy.(tok) in
+    Int.max acc (if remote then base + t.p.comm else base)
+  end
+
+(* The same readiness with no communication latency anywhere. *)
+let ready_local t tok acc = if tok < 0 then acc else Int.max acc t.reg_ready.(tok)
 
 let feed t (ev : Ev.t) =
   (* ---- fetch ---- *)
@@ -184,25 +196,17 @@ let feed t (ev : Ev.t) =
   let fifo = t.pe_fifo.(pe) in
   let fifo_slot = t.pe_count.(pe) mod t.p.fifo_depth in
   let d =
-    max (f + t.p.depth) (max (t.rob_ring.(rob_slot) + 1) (fifo.(fifo_slot) + 1))
+    Int.max (f + t.p.depth)
+      (Int.max (t.rob_ring.(rob_slot) + 1) (fifo.(fifo_slot) + 1))
   in
   (* ---- operand readiness (communication latency for remote GPRs) ---- *)
-  let ready tok acc =
-    if tok < 0 then acc
-    else begin
-      let base = t.reg_ready.(tok) in
-      let remote = t.reg_pe.(tok) <> pe || t.reg_lazy.(tok) in
-      max acc (if remote then base + t.p.comm else base)
-    end
+  let r = ready t pe ev.src1 (ready t pe ev.src2 (ready t pe ev.src3 (d + 1))) in
+  let r0 =
+    ready_local t ev.src1 (ready_local t ev.src2 (ready_local t ev.src3 (d + 1)))
   in
-  let ready_local tok acc =
-    if tok < 0 then acc else max acc t.reg_ready.(tok)
-  in
-  let r = ready ev.src1 (ready ev.src2 (ready ev.src3 (d + 1))) in
-  let r0 = ready_local ev.src1 (ready_local ev.src2 (ready_local ev.src3 (d + 1))) in
   (* ---- in-order single-issue per PE ---- *)
-  let issue = max r (t.pe_last_issue.(pe) + 1) in
-  let issue0 = max r0 (t.pe_last_issue.(pe) + 1) in
+  let issue = Int.max r (t.pe_last_issue.(pe) + 1) in
+  let issue0 = Int.max r0 (t.pe_last_issue.(pe) + 1) in
   if issue > issue0 then begin
     t.comm_stalls <- t.comm_stalls + 1;
     t.comm_cycles <- t.comm_cycles + (issue - issue0)
@@ -228,7 +232,7 @@ let feed t (ev : Ev.t) =
     t.reg_lazy.(ev.dst2) <- ev.lazy_dst2
   end;
   (* ---- commit ---- *)
-  let c = Slots.book t.commit (max (complete + 1) t.last_commit) in
+  let c = Slots.book t.commit (Int.max (complete + 1) t.last_commit) in
   t.last_commit <- c;
   t.rob_ring.(rob_slot) <- c;
   t.n <- t.n + 1;
@@ -237,8 +241,9 @@ let feed t (ev : Ev.t) =
   match Pred.classify t.pred ev with
   | `Seq -> if ev.cls = Cond_br then t.prev_open_bb <- true
   | `Taken_ok -> new_fetch_group t (t.fetch_cycle + 1)
-  | `Misfetch -> t.next_fetch_min <- max t.next_fetch_min (f + t.p.redirect)
-  | `Mispredict -> t.next_fetch_min <- max t.next_fetch_min (complete + t.p.redirect)
+  | `Misfetch -> t.next_fetch_min <- Int.max t.next_fetch_min (f + t.p.redirect)
+  | `Mispredict ->
+    t.next_fetch_min <- Int.max t.next_fetch_min (complete + t.p.redirect)
 
 (* Functional warming (SMARTS-style): a sampling controller's fast window
    skips the cycle simulation but must keep the long-lived history state —

@@ -39,7 +39,7 @@ let create ?(use_ras = true) () =
 type outcome = [ `Seq | `Taken_ok | `Misfetch | `Mispredict ]
 
 let btb_target_ok t (ev : Ev.t) =
-  let hit = Btb.lookup t.btb ev.pc = Some ev.target in
+  let hit = Btb.predicts t.btb ev.pc ~target:ev.target in
   Btb.update t.btb ev.pc ~target:ev.target;
   hit
 
@@ -95,7 +95,7 @@ let classify t (ev : Ev.t) : outcome =
     end
   | P_ras_ret when t.use_ras ->
     t.control <- t.control + 1;
-    if Ras.pop t.ras = Some ev.target then `Taken_ok
+    if Ras.pop_is t.ras ev.target then `Taken_ok
     else begin
       t.mispredicts <- t.mispredicts + 1;
       `Mispredict

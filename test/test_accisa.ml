@@ -149,7 +149,7 @@ let test_disasm_notation () =
 
 let test_trace_tokens () =
   let ev =
-    Trace.ev ~pc:0x100 ~ea:0 ~taken:false ~target:0x102
+    Trace.ev ~pc:0x100
       (Insn.Alu { op = Addq; d = d ~gdst:(Some 9) ~gopr:true 2; a = Sacc 2; b = Sgpr 5 })
   in
   check Alcotest.int "src1 acc token" (Machine.Ev.acc_token 2) ev.src1;
@@ -158,12 +158,12 @@ let test_trace_tokens () =
   check Alcotest.int "dst2 operational gpr" 9 ev.dst2;
   check Alcotest.bool "gopr write is not lazy" false ev.lazy_dst2;
   let lazy_ev =
-    Trace.ev ~pc:0x100 ~ea:0 ~taken:false ~target:0x102
+    Trace.ev ~pc:0x100
       (Insn.Alu { op = Addq; d = d ~gdst:(Some 9) 2; a = Sacc 2; b = Simm 0L })
   in
   check Alcotest.bool "architected-only write is lazy" true lazy_ev.lazy_dst2;
   let gpr_dest =
-    Trace.ev ~pc:0x100 ~ea:0 ~taken:false ~target:0x102
+    Trace.ev ~pc:0x100
       (Insn.Alu { op = Addq; d = d ~gdst:(Some 9) (-1); a = Sacc 2; b = Simm 0L })
   in
   check Alcotest.int "gpr-dest primary token" 9 gpr_dest.dst;
@@ -171,13 +171,13 @@ let test_trace_tokens () =
 
 let test_trace_steering () =
   let ev =
-    Trace.ev ~pc:0 ~ea:0 ~taken:false ~target:4 ~strand_start:true
+    Trace.ev ~pc:0 ~strand_start:true
       (Insn.Copy_from_gpr { d = d 3; g = 11 })
   in
   check Alcotest.int "steered by written acc" 3 ev.acc;
   check Alcotest.bool "strand start flows through" true ev.strand_start;
   let store =
-    Trace.ev ~pc:0 ~ea:8 ~taken:false ~target:4
+    Trace.ev ~pc:0
       (Insn.Store { width = W8; value = Sgpr 1; base = Sacc 2; disp = 0 })
   in
   check Alcotest.int "store steered by read acc" 2 store.acc

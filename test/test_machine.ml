@@ -283,6 +283,41 @@ let test_ras_overflow_wraps () =
   check Alcotest.(option int) "pop 3" (Some 3) (Ras.pop r);
   check Alcotest.(option int) "empty after wrap" None (Ras.pop r)
 
+(* The allocation-free predictor queries the timing models use must agree
+   with the option-returning observers. Small structures and small value
+   ranges force conflicts, evictions, wrap-around and empty pops. *)
+let prop_btb_predicts =
+  QCheck.Test.make ~name:"btb: predicts agrees with lookup" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 120)
+        (triple bool (int_bound 31) (int_bound 3)))
+    (fun ops ->
+      let b = Btb.create ~entries:8 ~ways:2 () in
+      List.for_all
+        (fun (update, pc, target) ->
+          let pc = pc * 4 in
+          if update then begin
+            Btb.update b pc ~target;
+            true
+          end
+          else Btb.predicts b pc ~target = (Btb.lookup b pc = Some target))
+        ops)
+
+let prop_ras_pop_is =
+  QCheck.Test.make ~name:"ras: pop_is agrees with pop" ~count:300
+    QCheck.(list_of_size (Gen.int_range 1 60) (pair bool (int_bound 3)))
+    (fun ops ->
+      let a = Ras.create ~entries:4 () and b = Ras.create ~entries:4 () in
+      List.for_all
+        (fun (push, v) ->
+          if push then begin
+            Ras.push a v;
+            Ras.push b v;
+            true
+          end
+          else Ras.pop_is a v = (Ras.pop b = Some v) && a = b)
+        ops)
+
 (* ---------- dual-address RAS ---------- *)
 
 let test_dras_match () =
@@ -370,4 +405,6 @@ let suite =
     qtest prop_mem_roundtrip;
     qtest prop_cache_miss_bounded;
     qtest prop_dras_balanced;
+    qtest prop_btb_predicts;
+    qtest prop_ras_pop_is;
   ]

@@ -318,6 +318,41 @@ let test_fastfwd_create_validates () =
   (* interval 0 disables sampling and accepts any window sizes *)
   mk ~interval:0 ~warmup:50 ~detail:100 ()
 
+(* ---------- allocation ---------- *)
+
+(* The first [fuel] V-insns of gzip's translated event stream, copied out
+   of the reused templates so they can be replayed. *)
+let recorded_events kind =
+  let w = Option.get (Workloads.find "gzip") in
+  let vm = Core.Vm.create ~kind (Workloads.program ~scale:1 w) in
+  let evs = ref [] in
+  ignore
+    (Core.Vm.run ~fuel:100_000
+       ~sink:(fun e -> evs := Machine.Ev.copy e :: !evs)
+       vm);
+  Array.of_list (List.rev !evs)
+
+(* Minor-heap words per event a model's [feed] allocates replaying [evs];
+   [Gc.minor_words] is exact on one domain. *)
+let feed_words feed evs =
+  let w0 = Gc.minor_words () in
+  Array.iter feed evs;
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length evs)
+
+let test_models_allocation_free () =
+  let bound name words =
+    check Alcotest.bool
+      (Printf.sprintf "%s: %.3f words/event <= 0.5" name words)
+      true (words <= 0.5)
+  in
+  let straight = recorded_events Core.Vm.Straight_only in
+  bound "ooo" (feed_words (Uarch.Ooo.feed (Uarch.Ooo.create ())) straight);
+  let acc = recorded_events Core.Vm.Acc in
+  bound "ildp" (feed_words (Uarch.Ildp.feed (Uarch.Ildp.create ())) acc);
+  let comm = { Uarch.Ildp.default_params with n_pe = 4; comm = 2 } in
+  bound "ildp comm=2"
+    (feed_words (Uarch.Ildp.feed (Uarch.Ildp.create ~params:comm ())) acc)
+
 let suite =
   [
     ("slot booking bandwidth", `Quick, test_slots_bandwidth);
@@ -338,4 +373,5 @@ let suite =
       test_fastfwd_sampling_deterministic);
     ("fastfwd: interval=0 is exact", `Quick, test_fastfwd_interval0_exact);
     ("fastfwd: window validation", `Quick, test_fastfwd_create_validates);
+    ("models feed without allocating", `Quick, test_models_allocation_free);
   ]
